@@ -60,7 +60,6 @@ from .logic import (
     consistent,
     entails,
     evaluate,
-    ground_atoms,
     negate,
 )
 from .metrics import (

@@ -46,13 +46,11 @@ class Channel:
 
     ``formulas`` is the payload for drop/corrupt channels; ``rename`` maps
     relation names (injectively, arity-preserving) for rename channels.
-    ``seed`` is reserved for stochastic variants and currently unused.
     """
 
     kind: ChannelKind = ChannelKind.IDENTITY
     formulas: frozenset = frozenset()
     rename: tuple[tuple[str, str], ...] = ()
-    seed: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ChannelKind(self.kind))
@@ -202,27 +200,26 @@ def transmit(
 
 @dataclass(frozen=True)
 class ReaderState:
-    """The reader at one time step: fabula, consistent worlds, the default
-    plausibility filter over them, and the decided ground literals."""
+    """The reader at one time step: fabula, consistent worlds, and the
+    decided ground literals."""
 
     fabula: Fabula
     worlds: WorldSet
-    filter: WeakFilter
     beliefs: frozenset
+
+    @property
+    def filter(self) -> WeakFilter:
+        """The default plausibility filter: the principal family generated by
+        the full world set, so exactly the facts decided by all worlds are
+        plausible and everything else is undetermined."""
+        return WeakFilter.principal(self.worlds, (1 << len(self.worlds)) - 1)
 
 
 def reconstruct(fabula: Fabula, bound: int | None = None) -> ReaderState:
-    """Rebuild a reader state from a received fabula.
-
-    The world set enumerates every model of the fabula; the default filter is
-    the principal family generated by the full world set, so exactly the
-    facts decided by all worlds are plausible and everything else is
-    undetermined.
-    """
+    """Rebuild a reader state from a received fabula: every model of the
+    fabula, and the literals all of them decide."""
     worlds = enumerate_models(fabula, bound=bound)
-    filt = WeakFilter.principal(worlds, (1 << len(worlds)) - 1)
-    beliefs = plausible_facts(worlds)
-    return ReaderState(fabula, worlds, filt, beliefs)
+    return ReaderState(fabula, worlds, plausible_facts(worlds))
 
 
 @dataclass(frozen=True)

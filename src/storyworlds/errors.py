@@ -27,7 +27,8 @@ class BoundExceededError(StoryworldsError):
         self.bound = bound
         super().__init__(
             f"universe has {atom_count} ground atoms, exceeding the "
-            f"enumeration bound of {bound}; raise the bound explicitly to proceed"
+            f"enumeration bound of {bound}; an explicit bound raises it, up to "
+            f"the fixed atom ceiling"
         )
 
 

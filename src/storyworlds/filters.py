@@ -18,7 +18,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import EmptyWorldSetError, FilterError
-from .logic import Formula, Not, World, evaluate
+from .logic import Formula, Not, World, truth_column
 from .worlds import WorldSet
 
 #: Largest base size for which member families are materialized extensionally.
@@ -26,12 +26,10 @@ EXTENSIONAL_BASE_LIMIT = 24
 
 
 def support_mask(base: WorldSet, p: Formula) -> int:
-    """Bitmask of the base worlds in which ``p`` is true."""
-    mask = 0
-    for i, w in enumerate(base):
-        if evaluate(w, p):
-            mask |= 1 << i
-    return mask
+    """Bitmask of the base worlds in which ``p`` is true (bit ``i`` is
+    ``base[i]``)."""
+    col = truth_column(p, base.universe)
+    return sum(1 << i for i, m in enumerate(base.masks) if col >> m & 1)
 
 
 def _check_members(members: Iterable[int], base_size: int) -> frozenset:
@@ -229,14 +227,17 @@ def plausible_facts(
     """
     if len(worlds) == 0:
         raise EmptyWorldSetError("plausible facts over an empty world set")
-    if candidates is None:
-        candidates = []
-        for a in worlds.universe.atoms:
-            candidates.append(a)
-            candidates.append(Not(a))
-    return frozenset(
-        c for c in candidates if all(evaluate(w, c) for w in worlds)
-    )
+    col, u = worlds.column, worlds.universe
+    if candidates is not None:
+        return frozenset(c for c in candidates if col & ~truth_column(c, u) == 0)
+    facts = []
+    for i, a in enumerate(u.atoms):
+        atom_col = u.atom_column(i)
+        if col & ~atom_col == 0:
+            facts.append(a)
+        elif col & atom_col == 0:
+            facts.append(Not(a))
+    return frozenset(facts)
 
 
 def extend_to_ultrafilter(f: WeakFilter) -> WeakUltrafilter:

@@ -20,6 +20,11 @@ from .errors import BoundExceededError, UniverseError, UnknownAtomError
 #: enumeration refuses (BoundExceededError) rather than sampling silently.
 DEFAULT_ATOM_BOUND = 24
 
+#: Hard ceiling that no bound can raise. A truth column over 2**26 worlds is
+#: 8 MiB, but listing every world of it (sampling does) takes about 2.5 GiB
+#: of Python integers; beyond this no exhaustive run can finish.
+ATOM_CEILING = 26
+
 
 class Formula:
     """Base class for formula nodes; subclasses are immutable values."""
@@ -229,11 +234,6 @@ def _ground_relation(
         yield Atom(rel, args)
 
 
-def ground_atoms(universe: Universe) -> tuple[Atom, ...]:
-    """All ground atoms of the universe, in canonical order."""
-    return universe.atoms
-
-
 @dataclass(frozen=True)
 class World:
     """A complete truth assignment: bit ``i`` of ``mask`` is atom ``i``."""
@@ -319,16 +319,15 @@ def evaluate(world: World, f: Formula) -> bool:
 
 def truth_column(f: Formula, universe: Universe) -> int:
     """Integer whose bit ``m`` is the truth of ``f`` under assignment mask ``m``."""
-    full = universe.full_column()
     if isinstance(f, Atom):
         return universe.atom_column(universe.atom_index(f))
     if isinstance(f, Constant):
-        return full if f.value else 0
+        return universe.full_column() if f.value else 0
     if isinstance(f, Not):
-        return full & ~truth_column(f.operand, universe)
+        return universe.full_column() & ~truth_column(f.operand, universe)
     if isinstance(f, And):
-        col = full
-        for item in f.items:
+        col = truth_column(f.items[0], universe)
+        for item in f.items[1:]:
             col &= truth_column(item, universe)
         return col
     if isinstance(f, Or):
@@ -339,21 +338,23 @@ def truth_column(f: Formula, universe: Universe) -> int:
     if isinstance(f, Implies):
         a = truth_column(f.antecedent, universe)
         b = truth_column(f.consequent, universe)
-        return (full & ~a) | b
+        return (universe.full_column() & ~a) | b
     raise TypeError(f"not a formula: {f!r}")
 
 
 def check_bound(universe: Universe, bound: int | None = None) -> None:
-    """Refuse exhaustive work over universes larger than ``bound`` atoms."""
-    limit = DEFAULT_ATOM_BOUND if bound is None else bound
+    """Refuse exhaustive work over universes larger than ``bound`` atoms, and
+    over universes beyond ``ATOM_CEILING`` whatever the bound."""
+    limit = min(DEFAULT_ATOM_BOUND if bound is None else bound, ATOM_CEILING)
     if universe.atom_count > limit:
         raise BoundExceededError(universe.atom_count, limit)
 
 
-def consistent(
+def models_column(
     props: Iterable[Formula], universe: Universe, bound: int | None = None
-) -> bool:
-    """True iff at least one world satisfies every formula in ``props``.
+) -> int:
+    """Truth column of the conjunction of ``props``: bit ``m`` is set iff
+    assignment mask ``m`` satisfies every formula.
 
     Decided by exhaustive enumeration over all assignments (as bitwise
     column intersection), so the universe must fit the configured bound.
@@ -361,10 +362,17 @@ def consistent(
     check_bound(universe, bound)
     col = universe.full_column()
     for f in props:
+        if not col:
+            break
         col &= truth_column(f, universe)
-        if col == 0:
-            return False
-    return col != 0
+    return col
+
+
+def consistent(
+    props: Iterable[Formula], universe: Universe, bound: int | None = None
+) -> bool:
+    """True iff at least one world satisfies every formula in ``props``."""
+    return models_column(props, universe, bound) != 0
 
 
 def entails(
@@ -374,8 +382,4 @@ def entails(
     bound: int | None = None,
 ) -> bool:
     """True iff every world satisfying ``props`` also satisfies ``q``."""
-    check_bound(universe, bound)
-    col = universe.full_column()
-    for f in props:
-        col &= truth_column(f, universe)
-    return col & ~truth_column(q, universe) == 0
+    return models_column(props, universe, bound) & ~truth_column(q, universe) == 0

@@ -83,15 +83,15 @@ def relevance(q: Question, prior: WorldSet, truth: World | None = None) -> float
         raise EmptyWorldSetError("relevance needs a non-empty prior")
     a, b = q.resolve_answers(truth)
     ind_a = q.antecedent if a else Not(q.antecedent)
-    p_a = truth_proportion(prior, ind_a)
-    sub_masks = [w.mask for w in prior if evaluate(w, ind_a)]
-    if not sub_masks:
+    sub = prior.column & truth_column(ind_a, prior.universe)
+    if not sub:
         raise MetricError(
             "empty conditional sub-population: no prior world matches the antecedent's answer"
         )
-    sub = WorldSet(prior.universe, sub_masks)
     ind_b = q.consequent if b else Not(q.consequent)
-    p_b_given_a = truth_proportion(sub, ind_b)
+    both = sub & truth_column(ind_b, prior.universe)
+    p_a = Fraction(sub.bit_count(), len(prior))
+    p_b_given_a = Fraction(both.bit_count(), sub.bit_count())
     return binary_entropy(p_a) - binary_entropy(p_b_given_a)
 
 
@@ -130,10 +130,11 @@ def derive_world_questions(
     if len(sample) == 0:
         raise EmptyWorldSetError("cannot derive questions from an empty sample")
     total = len(sample)
+    u = sample.universe
     unanimous: list[Formula] = []
     majority: list[Formula] = []
-    for atom in sample.universe.atoms:
-        hits = sum(1 for w in sample if evaluate(w, atom))
+    for i, atom in enumerate(u.atoms):
+        hits = (sample.column & u.atom_column(i)).bit_count()
         for lit, count in ((atom, hits), (Not(atom), total - hits)):
             if count == total:
                 unanimous.append(lit)
@@ -345,10 +346,11 @@ def pullback_restriction(truth_now: World, sample_then: WorldSet) -> dict[Atom, 
     time)."""
     if len(sample_then) == 0:
         raise EmptyWorldSetError("pullback over an empty sample")
+    col, u = sample_then.column, sample_then.universe
     out: dict[Atom, bool] = {}
     for atom in truth_now.universe.atoms:
-        values = {evaluate(w, atom) for w in sample_then}
-        if len(values) == 1:
+        atom_col = u.atom_column(u.atom_index(atom))
+        if col & ~atom_col == 0 or col & atom_col == 0:
             out[atom] = truth_now.truth(atom)
     return out
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -96,37 +96,13 @@ def config_from_file(path: str | Path) -> RunConfig:
 
 def merge_config(base: RunConfig | None, overrides: Mapping[str, Any]) -> RunConfig:
     """Apply overrides (flag values or config-file keys) over a base config."""
-    known = {
-        "story",
-        "channel",
-        "truth",
-        "sample_k",
-        "seed",
-        "theta",
-        "epsilon",
-        "bound",
-        "format",
-        "out",
-        "questions",
-    }
+    known = {f.name for f in fields(RunConfig)}
     unknown = set(overrides) - known
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
     values: dict[str, Any] = {}
     if base is not None:
-        values.update(
-            story=base.story,
-            channel=base.channel,
-            truth=base.truth,
-            sample_k=base.sample_k,
-            seed=base.seed,
-            theta=base.theta,
-            epsilon=base.epsilon,
-            bound=base.bound,
-            format=base.format,
-            out=base.out,
-            questions=base.questions,
-        )
+        values.update((name, getattr(base, name)) for name in known)
     for key, value in overrides.items():
         if value is None:
             continue
@@ -169,8 +145,8 @@ def resolve_truth_world(spec: str, timeline: Timeline, bound: int) -> World:
     """
     universe = timeline.universe
     if spec.strip() == "first-canonical":
-        models = enumerate_models(timeline.steps[-1], bound=bound)
-        return World(universe, models.masks[0])
+        col = enumerate_models(timeline.steps[-1], bound=bound).column
+        return World(universe, (col & -col).bit_length() - 1)
     assignment: dict[int, bool] = {}
     for part in spec.split(";"):
         part = part.strip()

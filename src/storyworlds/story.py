@@ -44,6 +44,7 @@ from .logic import (
     Or,
     Universe,
     consistent,
+    models_column,
 )
 
 _PREC_IMPLIES = 1
@@ -91,6 +92,11 @@ def _wrap(f: Formula, minimum: int) -> str:
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+#: Deepest nesting of parentheses, negations and implication chains that a
+#: formula may have. Every stage walks formulas recursively, so the parser
+#: refuses deeper input rather than let a later stage exhaust the stack.
+MAX_FORMULA_DEPTH = 100
+
 
 class _FormulaParser:
     """Recursive-descent parser for a single formula string."""
@@ -101,6 +107,7 @@ class _FormulaParser:
         self.line = line
         self.col_offset = col_offset
         self.pos = 0
+        self.depth = 0
 
     def fail(self, message: str, pos: int | None = None):
         at = self.pos if pos is None else pos
@@ -140,10 +147,19 @@ class _FormulaParser:
             self.fail("unexpected trailing input")
         return f
 
+    def nested(self, parse) -> Formula:
+        """``parse()`` one nesting level further in."""
+        self.depth += 1
+        if self.depth > MAX_FORMULA_DEPTH:
+            self.fail(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+        f = parse()
+        self.depth -= 1
+        return f
+
     def implication(self) -> Formula:
         left = self.disjunction()
         if self.eat("->"):
-            return Implies(left, self.implication())
+            return Implies(left, self.nested(self.implication))
         return left
 
     def disjunction(self) -> Formula:
@@ -162,12 +178,12 @@ class _FormulaParser:
 
     def unary(self) -> Formula:
         if self.eat("!"):
-            return Not(self.unary())
+            return Not(self.nested(self.unary))
         return self.primary()
 
     def primary(self) -> Formula:
         if self.eat("("):
-            f = self.implication()
+            f = self.nested(self.implication)
             self.expect(")")
             return f
         word, start = self.name()
@@ -199,25 +215,25 @@ class Fabula:
     """A consistent, canonically ordered set of asserted propositions.
 
     Propositions are deduplicated and sorted lexicographically by their
-    serialized form. Construction fails with InconsistentFabulaError (carrying
-    a greedily minimized conflicting subset) when no world satisfies the set.
-    Each proposition carries an importance flag, default true; the package
-    records the flag and leaves its policy to callers.
+    serialized form. ``column`` is the truth column of their conjunction (bit
+    ``m`` set iff assignment mask ``m`` is a model). Construction fails with
+    InconsistentFabulaError (carrying a greedily minimized conflicting subset)
+    when no world satisfies the set.
     """
 
-    __slots__ = ("universe", "propositions", "_set", "_unimportant")
+    __slots__ = ("universe", "propositions", "column", "_set")
 
     def __init__(
         self,
         universe: Universe,
         propositions: Iterable[Formula] = (),
-        unimportant: Iterable[Formula] = (),
         bound: int | None = None,
     ):
         for f in propositions:
             universe.check_formula(f)
         ordered = sorted(set(propositions), key=formula_to_str)
-        if not consistent(ordered, universe, bound):
+        column = models_column(ordered, universe, bound)
+        if not column:
             conflict = _minimal_conflict(ordered, universe, bound)
             raise InconsistentFabulaError(
                 conflict,
@@ -226,8 +242,8 @@ class Fabula:
             )
         self.universe = universe
         self.propositions: tuple[Formula, ...] = tuple(ordered)
+        self.column = column
         self._set = frozenset(ordered)
-        self._unimportant = frozenset(unimportant) & self._set
 
     def __iter__(self) -> Iterator[Formula]:
         return iter(self.propositions)
@@ -241,19 +257,15 @@ class Fabula:
     def as_set(self) -> frozenset:
         return self._set
 
-    def is_important(self, f: Formula) -> bool:
-        return f in self._set and f not in self._unimportant
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Fabula)
             and self.universe == other.universe
             and self.propositions == other.propositions
-            and self._unimportant == other._unimportant
         )
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.propositions, self._unimportant))
+        return hash((self.universe, self.propositions))
 
     def __repr__(self) -> str:
         inner = ", ".join(formula_to_str(f) for f in self.propositions)
@@ -306,8 +318,7 @@ def apply_transition(
     Removing an absent formula is a no-op.
     """
     props = (fabula.as_set() - edit.removals) | edit.additions
-    unimportant = {f for f in props if f in fabula and not fabula.is_important(f)}
-    return Fabula(fabula.universe, props, unimportant, bound)
+    return Fabula(fabula.universe, props, bound)
 
 
 @dataclass(frozen=True)

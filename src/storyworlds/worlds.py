@@ -1,8 +1,11 @@
 """Enumeration and manipulation of possible-world sets.
 
-A WorldSet holds the worlds consistent with a fabula, canonically ordered by
-assignment mask ascending. Proportions are exact fractions; floats appear
-only at report boundaries.
+A WorldSet is one truth column over the universe's assignments: bit ``m`` is
+set iff the world with assignment mask ``m`` belongs to the set. Every
+question about the set is a bitwise operation on that column; the worlds'
+masks and World objects are listed on demand, canonically ordered by mask
+ascending. Proportions are exact fractions; floats appear only at report
+boundaries.
 """
 
 from __future__ import annotations
@@ -17,26 +20,52 @@ from .logic import (
     Universe,
     World,
     check_bound,
-    evaluate,
+    models_column,
     truth_column,
 )
 from .story import Fabula
 
+#: For each byte value, the positions of its set bits, ascending.
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
 
 class WorldSet:
-    """An ordered, duplicate-free set of worlds over one universe."""
+    """An ordered, duplicate-free set of worlds over one universe, stored as
+    a truth column."""
 
-    __slots__ = ("universe", "masks", "_mask_set", "_worlds")
+    __slots__ = ("universe", "column", "_masks", "_worlds")
 
     def __init__(self, universe: Universe, masks: Iterable[int]):
-        unique = sorted(set(masks))
         top = 1 << universe.atom_count
-        if unique and not 0 <= unique[0] <= unique[-1] < top:
-            raise ValueError("world mask outside the universe's assignment range")
-        self.universe = universe
-        self.masks: tuple[int, ...] = tuple(unique)
-        self._mask_set = frozenset(unique)
+        bits = bytearray((top + 7) // 8)
+        for m in masks:
+            if not 0 <= m < top:
+                raise ValueError("world mask outside the universe's assignment range")
+            bits[m >> 3] |= 1 << (m & 7)
+        self.universe, self.column = universe, int.from_bytes(bits, "little")
+        self._masks: tuple[int, ...] | None = None
         self._worlds: tuple[World, ...] | None = None
+
+    @classmethod
+    def from_column(cls, universe: Universe, column: int) -> "WorldSet":
+        """The world set whose truth column is ``column``."""
+        s = cls.__new__(cls)
+        s.universe, s.column, s._masks, s._worlds = universe, column, None, None
+        return s
+
+    @property
+    def masks(self) -> tuple[int, ...]:
+        """Member masks, ascending, from one scan of the column's bytes."""
+        if self._masks is None:
+            col = self.column
+            data = col.to_bytes((col.bit_length() + 7) // 8, "little")
+            self._masks = tuple(
+                base + i
+                for base, byte in zip(range(0, len(data) << 3, 8), data)
+                if byte
+                for i in _BYTE_BITS[byte]
+            )
+        return self._masks
 
     @property
     def worlds(self) -> tuple[World, ...]:
@@ -45,7 +74,7 @@ class WorldSet:
         return self._worlds
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self.column.bit_count()
 
     def __iter__(self) -> Iterator[World]:
         return iter(self.worlds)
@@ -54,20 +83,20 @@ class WorldSet:
         return self.worlds[i]
 
     def __contains__(self, world: World) -> bool:
-        return world.universe == self.universe and world.mask in self._mask_set
+        return world.universe == self.universe and bool(self.column >> world.mask & 1)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, WorldSet)
             and self.universe == other.universe
-            and self.masks == other.masks
+            and self.column == other.column
         )
 
     def __hash__(self) -> int:
-        return hash((self.universe, self.masks))
+        return hash((self.universe, self.column))
 
     def __repr__(self) -> str:
-        return f"WorldSet({len(self.masks)} worlds over {self.universe.atom_count} atoms)"
+        return f"WorldSet({len(self)} worlds over {self.universe.atom_count} atoms)"
 
 
 def enumerate_models(
@@ -77,51 +106,37 @@ def enumerate_models(
 ) -> WorldSet:
     """All worlds satisfying the fabula, in canonical (mask-ascending) order.
 
-    Accepts a Fabula (universe taken from it) or a plain formula collection
-    with an explicit universe. Refuses universes beyond the enumeration bound.
+    Accepts a Fabula (universe and model column taken from it) or a plain
+    formula collection with an explicit universe. Refuses universes beyond
+    the enumeration bound.
     """
     if isinstance(fabula, Fabula):
-        universe = fabula.universe
-        props: Iterable[Formula] = fabula.propositions
-    else:
-        if universe is None:
-            raise ValueError("universe required when not passing a Fabula")
-        props = tuple(fabula)
-    check_bound(universe, bound)
-    col = universe.full_column()
-    for f in props:
-        col &= truth_column(f, universe)
-        if col == 0:
-            break
-    return WorldSet(universe, _bits_of(col))
-
-
-def _bits_of(col: int) -> Iterator[int]:
-    while col:
-        low = col & -col
-        yield low.bit_length() - 1
-        col ^= low
+        check_bound(fabula.universe, bound)
+        return WorldSet.from_column(fabula.universe, fabula.column)
+    if universe is None:
+        raise ValueError("universe required when not passing a Fabula")
+    return WorldSet.from_column(universe, models_column(fabula, universe, bound))
 
 
 def intersect(a: WorldSet, b: WorldSet) -> WorldSet:
     """Set intersection of two world sets over the same universe."""
     if a.universe != b.universe:
         raise UniverseMismatchError("cannot intersect world sets over different universes")
-    return WorldSet(a.universe, a._mask_set & b._mask_set)
+    return WorldSet.from_column(a.universe, a.column & b.column)
 
 
 def truth_proportion(s: WorldSet, q: Formula) -> Fraction:
     """Exact fraction of worlds in ``s`` where ``q`` holds."""
     if len(s) == 0:
         raise EmptyWorldSetError("truth proportion over an empty world set")
-    hits = sum(1 for w in s if evaluate(w, q))
-    return Fraction(hits, len(s))
+    return Fraction((s.column & truth_column(q, s.universe)).bit_count(), len(s))
 
 
 def agreement_check(shared: WorldSet, rho: Iterable[Formula]) -> bool:
     """True iff every world in ``shared`` satisfies every formula in ``rho``."""
-    rho = tuple(rho)
-    return all(evaluate(w, r) for w in shared for r in rho)
+    return all(
+        shared.column & ~truth_column(r, shared.universe) == 0 for r in rho
+    )
 
 
 def sample_worlds(

@@ -1,13 +1,18 @@
 """Independent brute-force oracles for differential testing.
 
 Kept deliberately naive and separate from the library's fast paths: world
-enumeration loops over every assignment calling evaluate, and the filter
-oracles check the axioms literally over all subset pairs.
+enumeration loops over every assignment calling evaluate, the world-set
+oracles loop over a set's worlds calling evaluate where the library works on
+truth columns, and the filter oracles check the axioms literally over all
+subset pairs.
 """
 
 from __future__ import annotations
 
-from storyworlds.logic import Universe, World, evaluate
+from fractions import Fraction
+
+from storyworlds.logic import Not, Universe, World, evaluate
+from storyworlds.metrics import binary_entropy
 
 
 def enumerate_models_bruteforce(props, universe: Universe) -> tuple[int, ...]:
@@ -19,6 +24,63 @@ def enumerate_models_bruteforce(props, universe: Universe) -> tuple[int, ...]:
         if all(evaluate(world, f) for f in props):
             out.append(mask)
     return tuple(out)
+
+
+def truth_proportion_oracle(worlds, q) -> Fraction:
+    """Fraction of the worlds in which ``q`` holds, one world at a time."""
+    worlds = tuple(worlds)
+    return Fraction(sum(1 for w in worlds if evaluate(w, q)), len(worlds))
+
+
+def agreement_oracle(worlds, rho) -> bool:
+    """True iff every world satisfies every formula of ``rho``."""
+    return all(evaluate(w, r) for w in worlds for r in rho)
+
+
+def plausible_facts_oracle(worlds, candidates=None) -> frozenset:
+    """The candidates (default: every ground literal) true in every world."""
+    worlds = tuple(worlds)
+    if candidates is None:
+        candidates = []
+        for a in worlds[0].universe.atoms:
+            candidates.append(a)
+            candidates.append(Not(a))
+    return frozenset(c for c in candidates if all(evaluate(w, c) for w in worlds))
+
+
+def atom_hits_oracle(worlds, universe: Universe) -> tuple[int, ...]:
+    """For each atom in canonical order, the number of worlds where it holds."""
+    worlds = tuple(worlds)
+    return tuple(sum(1 for w in worlds if evaluate(w, a)) for a in universe.atoms)
+
+
+def support_mask_oracle(worlds, p) -> int:
+    """Bit ``i`` set iff ``p`` holds in the ``i``-th world."""
+    return sum(1 << i for i, w in enumerate(worlds) if evaluate(w, p))
+
+
+def relevance_oracle(q, worlds, truth=None):
+    """Relevance with the sub-population listed world by world; None where
+    the library raises for an empty sub-population."""
+    worlds = tuple(worlds)
+    a, b = q.resolve_answers(truth)
+    ind_a = q.antecedent if a else Not(q.antecedent)
+    ind_b = q.consequent if b else Not(q.consequent)
+    sub = [w for w in worlds if evaluate(w, ind_a)]
+    if not sub:
+        return None
+    p_a = truth_proportion_oracle(worlds, ind_a)
+    return binary_entropy(p_a) - binary_entropy(truth_proportion_oracle(sub, ind_b))
+
+
+def pullback_oracle(truth_now: World, worlds) -> dict:
+    """The truth world restricted to the atoms all ``worlds`` agree on."""
+    worlds = tuple(worlds)
+    return {
+        a: truth_now.truth(a)
+        for a in truth_now.universe.atoms
+        if len({evaluate(w, a) for w in worlds}) == 1
+    }
 
 
 def weak_filter_oracle(members, base_size: int) -> bool:

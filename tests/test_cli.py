@@ -7,6 +7,7 @@ import jsonschema
 import pytest
 
 from storyworlds.cli import main
+from storyworlds.logic import Universe
 from storyworlds.report import CSV_COLUMNS, RunConfig, config_from_file, run_analysis
 
 BAD_STORY = "sort s: a\nrel p(s)\n\nt=0:\n+ p(a)\n+ !p(a)\n"
@@ -233,3 +234,50 @@ class TestRunConfig:
         text = cards_story_path.read_text()
         report = run_analysis(RunConfig(story="inline.story"), story_text=text)
         assert report["universe"]["atom_count"] == 8
+
+
+DEEP_HEADER = "sort s: a\nrel g(s)\nrel h(s)\n\nt=0:\n+ "
+
+
+class TestDeepNesting:
+    @pytest.mark.parametrize(
+        "formula",
+        ["!" * 5000 + "h(a)", "(" * 3000 + "h(a)" + ")" * 3000],
+        ids=["negations", "parentheses"],
+    )
+    def test_too_deep_exits_1_with_a_message(self, tmp_path, capsys, formula):
+        p = tmp_path / "deep.story"
+        p.write_text(DEEP_HEADER + formula + "\n")
+        assert main(["validate", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 6:") and "nested deeper than" in err
+        assert "Traceback" not in err
+
+    def test_deepest_accepted_formulas_run_the_whole_pipeline(self, tmp_path):
+        p = tmp_path / "deep.story"
+        p.write_text(
+            DEEP_HEADER
+            + "!" * 100 + "h(a)\n+ "
+            + "(" * 100 + "h(a)" + ")" * 100 + "\n+ "
+            + "h(a) -> " * 100 + "h(a)\n"
+        )
+        for channel in ("identity", "drop(h(a))", "rename(h->g)"):
+            out = tmp_path / f"{channel}.json"
+            assert main(["analyze", str(p), "--channel", channel, "--out", str(out)]) == 0
+
+
+class TestAtomCeiling:
+    def test_bound_cannot_lift_the_ceiling(self, tmp_path, capsys, monkeypatch):
+        def never(*_):
+            raise AssertionError("a column over 2**40 worlds was requested")
+
+        monkeypatch.setattr(Universe, "full_column", never)
+        monkeypatch.setattr(Universe, "atom_column", never)
+        p = tmp_path / "wide.story"
+        p.write_text(
+            "sort c: " + ", ".join(f"c{i}" for i in range(40))
+            + "\nrel p(c)\n\nt=0:\n+ p(c0)\n"
+        )
+        assert main(["validate", str(p), "--bound", "40"]) == 1
+        err = capsys.readouterr().err
+        assert "bound of 26" in err and "ceiling" in err and "Traceback" not in err

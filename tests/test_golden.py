@@ -1,0 +1,77 @@
+"""Golden reports: every configuration below must reproduce its committed
+report byte for byte.
+
+The files under ``tests/data/golden/`` were written by the implementation
+that enumerated world sets as sorted mask tuples and evaluated every world
+one by one; they pin the report through any change of representation. To
+rewrite them after an intended report change::
+
+    PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_all()"
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+from pathlib import Path
+
+import pytest
+
+from storyworlds.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+
+#: (story file, name used in the golden file name, channel spec)
+CHANNELS = (
+    ("cards.story", "identity", "identity"),
+    ("cards.story", "drop", "drop(wears(ali,blue))"),
+    ("cards.story", "corrupt", "corrupt(wears(jay,blue))"),
+    ("cards.story", "rename", "rename(wears->wears)"),
+    ("reveal.story", "identity", "identity"),
+    ("reveal.story", "drop", "drop(plays(jay,ali); !wears(jay,red))"),
+    ("reveal.story", "corrupt", "corrupt(plays(ali,jay))"),
+    ("reveal.story", "rename", "rename(plays->plays)"),
+)
+SEEDS = (0, 7)
+FORMATS = ("json", "csv")
+
+CONFIGS = [
+    (story, name, spec, seed, fmt)
+    for (story, name, spec), seed, fmt in itertools.product(CHANNELS, SEEDS, FORMATS)
+]
+
+
+def golden_path(story: str, name: str, seed: int, fmt: str) -> Path:
+    return GOLDEN / f"{Path(story).stem}-{name}-s{seed}.{fmt}"
+
+
+def render(story: str, spec: str, seed: int, fmt: str, out: Path) -> bytes:
+    """Run ``storyworlds analyze`` from the data directory, so the story path
+    recorded in the report does not depend on the checkout's location."""
+    cwd = os.getcwd()
+    os.chdir(DATA)
+    try:
+        argv = ["analyze", story, "--channel", spec, "--seed", str(seed)]
+        code = main(argv + ["--format", fmt, "--out", str(out)])
+    finally:
+        os.chdir(cwd)
+    assert code == 0
+    return out.read_bytes()
+
+
+def write_all() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    for story, name, spec, seed, fmt in CONFIGS:
+        path = golden_path(story, name, seed, fmt)
+        render(story, spec, seed, fmt, path.resolve())
+
+
+@pytest.mark.parametrize(
+    "story, name, spec, seed, fmt",
+    CONFIGS,
+    ids=[f"{Path(c[0]).stem}-{c[1]}-s{c[3]}-{c[4]}" for c in CONFIGS],
+)
+def test_report_matches_golden(tmp_path, story, name, spec, seed, fmt):
+    got = render(story, spec, seed, fmt, tmp_path / f"report.{fmt}")
+    assert got == golden_path(story, name, seed, fmt).read_bytes()

@@ -6,6 +6,7 @@ import pytest
 
 from storyworlds.errors import BoundExceededError, UniverseError, UnknownAtomError
 from storyworlds.logic import (
+    ATOM_CEILING,
     Atom,
     Constant,
     Implies,
@@ -13,12 +14,13 @@ from storyworlds.logic import (
     Or,
     Universe,
     World,
+    check_bound,
     consistent,
     entails,
     evaluate,
-    ground_atoms,
 )
-from storyworlds.story import formula_to_str
+from storyworlds.story import Fabula, formula_to_str
+from storyworlds.worlds import enumerate_models
 
 from helpers import chain_universe, random_formula, random_universe
 
@@ -36,22 +38,22 @@ CARDS_ATOM_ORDER = [
 
 class TestGroundAtoms:
     def test_cards_universe_has_eight_atoms(self, cards_universe):
-        assert len(ground_atoms(cards_universe)) == 8
+        assert len(cards_universe.atoms) == 8
 
     def test_canonical_order_is_pinned(self, cards_universe):
         # golden: lexicographic by relation name, then argument tuple
-        assert [formula_to_str(a) for a in ground_atoms(cards_universe)] == CARDS_ATOM_ORDER
+        assert [formula_to_str(a) for a in cards_universe.atoms] == CARDS_ATOM_ORDER
 
     def test_no_relations_means_no_atoms(self):
         u = Universe({"person": ("jay",)}, [])
-        assert ground_atoms(u) == ()
+        assert u.atoms == ()
 
     def test_single_atom_universe(self):
         u = Universe(
             {"person": ("jay",), "color": ("blue",)},
             [("wears", ("person", "color"))],
         )
-        assert [formula_to_str(a) for a in ground_atoms(u)] == ["wears(jay,blue)"]
+        assert [formula_to_str(a) for a in u.atoms] == ["wears(jay,blue)"]
 
     def test_atom_count_matches_arity_products(self):
         u = Universe(
@@ -163,3 +165,34 @@ class TestEntails:
             assert entails(props, q, u) == (
                 not consistent(list(props) + [Not(q)], u)
             )
+
+
+class TestAtomCeiling:
+    def test_ceiling_holds_whatever_the_bound(self, monkeypatch):
+        def never(*_):
+            raise AssertionError("a column over 2**40 worlds was requested")
+
+        monkeypatch.setattr(Universe, "full_column", never)
+        monkeypatch.setattr(Universe, "atom_column", never)
+        u = chain_universe(40)
+        with pytest.raises(BoundExceededError) as exc:
+            check_bound(u, bound=40)
+        assert (exc.value.atom_count, exc.value.bound) == (40, ATOM_CEILING)
+        assert "ceiling" in str(exc.value)
+        for refused in (
+            lambda: consistent([], u, bound=40),
+            lambda: entails([], u.atoms[0], u, bound=40),
+            lambda: Fabula(u, [u.atoms[0]], bound=40),
+            lambda: enumerate_models([], u, bound=40),
+        ):
+            with pytest.raises(BoundExceededError):
+                refused()
+
+    def test_bounds_up_to_the_ceiling_still_apply(self):
+        with pytest.raises(BoundExceededError) as exc:
+            check_bound(chain_universe(ATOM_CEILING + 1), bound=ATOM_CEILING + 1)
+        assert exc.value.bound == ATOM_CEILING
+        check_bound(chain_universe(ATOM_CEILING), bound=ATOM_CEILING)
+        with pytest.raises(BoundExceededError) as exc:
+            check_bound(chain_universe(12), bound=10)
+        assert exc.value.bound == 10

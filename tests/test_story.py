@@ -11,6 +11,7 @@ from storyworlds.errors import (
 )
 from storyworlds.logic import And, Implies, Not, Or
 from storyworlds.story import (
+    MAX_FORMULA_DEPTH,
     Fabula,
     TransitionEdit,
     apply_transition,
@@ -85,6 +86,29 @@ class TestFormulaGrammar:
         for _ in range(120):
             f = random_formula(rng, cards_universe, 3)
             assert parse_formula(formula_to_str(f), cards_universe) == f
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda f, n: "(" * n + f + ")" * n,
+            lambda f, n: "!" * n + f,
+            lambda f, n: "wears(ali,red) -> " * n + f,
+        ],
+        ids=["parentheses", "negations", "implications"],
+    )
+    def test_nesting_limit(self, cards_universe, wrap):
+        atom = "wears(jay,blue)"
+        deepest = wrap(atom, MAX_FORMULA_DEPTH)
+        assert formula_to_str(parse_formula(deepest, cards_universe))
+        too_deep = wrap(atom, MAX_FORMULA_DEPTH + 1)
+        with pytest.raises(ParseError) as exc:
+            parse_formula(too_deep, cards_universe, line=7, col_offset=2)
+        assert exc.value.line == 7 and exc.value.column > 2
+        assert f"deeper than {MAX_FORMULA_DEPTH}" in str(exc.value)
+
+    def test_sibling_groups_do_not_add_up(self, cards_universe):
+        f = parse_formula(" & ".join(["(!(wears(jay,blue)))"] * 3 * MAX_FORMULA_DEPTH), cards_universe)
+        assert len(f.items) == 3 * MAX_FORMULA_DEPTH
 
 
 class TestParseStory:
@@ -172,15 +196,6 @@ class TestFabula:
         b = cards_universe.atom("plays", "ali", "jay")
         fab = Fabula(cards_universe, [a, b, a])
         assert [formula_to_str(f) for f in fab] == ["plays(ali,jay)", "wears(jay,blue)"]
-
-    def test_importance_defaults_true(self, cards_universe, fabula_f1):
-        assert all(fabula_f1.is_important(f) for f in fabula_f1)
-
-    def test_importance_flag_recorded(self, cards_universe):
-        a = cards_universe.atom("wears", "jay", "blue")
-        b = cards_universe.atom("plays", "ali", "jay")
-        fab = Fabula(cards_universe, [a, b], unimportant=[b])
-        assert fab.is_important(a) and not fab.is_important(b)
 
     def test_greedy_minimal_conflict(self, cards_universe):
         a = cards_universe.atom("wears", "jay", "blue")

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from storyworlds.errors import EmptyWorldSetError, UniverseMismatchError
-from storyworlds.logic import And, Not
-from storyworlds.story import Fabula
+from storyworlds.errors import EmptyWorldSetError, MetricError, UniverseMismatchError
+from storyworlds.filters import plausible_facts, support_mask
+from storyworlds.logic import And, Not, World
+from storyworlds.metrics import Question, derive_world_questions, pullback_restriction, relevance
+from storyworlds.story import Fabula, formula_to_str
 from storyworlds.worlds import (
     WorldSet,
     agreement_check,
@@ -20,7 +22,16 @@ from storyworlds.worlds import (
 )
 
 from helpers import chain_universe, random_formula, random_monotone_timeline, random_universe
-from oracles import enumerate_models_bruteforce
+from oracles import (
+    agreement_oracle,
+    atom_hits_oracle,
+    enumerate_models_bruteforce,
+    plausible_facts_oracle,
+    pullback_oracle,
+    relevance_oracle,
+    support_mask_oracle,
+    truth_proportion_oracle,
+)
 
 # pinned output of sample_worlds(S(0), k=16, seed=0) on the cards fixture
 GOLDEN_SAMPLE_MASKS = (
@@ -168,3 +179,113 @@ class TestSampling:
     def test_k_must_be_positive(self, worlds_s0):
         with pytest.raises(ValueError):
             sample_worlds(worlds_s0, 0, seed=0)
+
+
+@st.composite
+def world_sets(draw):
+    """A random universe of at most 8 atoms, an arbitrary world set and the
+    model set of random formulas over it, and query formulas."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    u = random_universe(rng, 8)
+    top = 1 << u.atom_count
+    masks = draw(st.sets(st.integers(0, top - 1), max_size=top))
+    props = [random_formula(rng, u, 3) for _ in range(rng.randrange(0, 3))]
+    queries = [random_formula(rng, u, 3) for _ in range(4)]
+    return u, WorldSet(u, masks), enumerate_models(props, u), queries
+
+
+def _listed(s):
+    """The set's worlds built from its masks, bypassing the column."""
+    return [World(s.universe, m) for m in s.masks]
+
+
+class TestColumnAgainstOracles:
+    """The truth-column WorldSet against per-world evaluation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(world_sets())
+    def test_listing_membership_and_size(self, case):
+        u, s, models, _ = case
+        for ws in (s, models):
+            assert list(ws.masks) == sorted(set(ws.masks))
+            assert len(ws) == len(ws.masks)
+            assert [w.mask for w in ws] == list(ws.masks)
+            members = set(ws.masks)
+            for m in range(1 << u.atom_count):
+                assert (World(u, m) in ws) == (m in members)
+        assert WorldSet(u, s.masks) == s
+
+    @settings(max_examples=60, deadline=None)
+    @given(world_sets())
+    def test_intersect(self, case):
+        _, s, models, _ = case
+        assert intersect(s, models).masks == tuple(sorted(set(s.masks) & set(models.masks)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(world_sets())
+    def test_proportion_agreement_and_facts(self, case):
+        u, s, models, queries = case
+        for ws in (s, models):
+            listed = _listed(ws)
+            assert agreement_check(ws, queries[:2]) == agreement_oracle(listed, queries[:2])
+            for q in queries:
+                assert agreement_check(ws, [q]) == agreement_oracle(listed, [q])
+                assert support_mask(ws, q) == support_mask_oracle(listed, q)
+            if not listed:
+                continue
+            for q in queries:
+                assert truth_proportion(ws, q) == truth_proportion_oracle(listed, q)
+            assert plausible_facts(ws) == plausible_facts_oracle(listed)
+            assert plausible_facts(ws, queries) == plausible_facts_oracle(listed, queries)
+            truth = listed[-1]
+            assert pullback_restriction(truth, ws) == pullback_oracle(truth, listed)
+            for a, b in zip(queries, queries[1:]):
+                q = Question(a, b)
+                expected = relevance_oracle(q, listed, truth)
+                if expected is None:
+                    with pytest.raises(MetricError):
+                        relevance(q, ws, truth)
+                else:
+                    assert relevance(q, ws, truth) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(world_sets())
+    def test_question_derivation_counts(self, case):
+        u, s, models, _ = case
+        for ws in (s, models):
+            if not len(ws):
+                continue
+            total = len(ws)
+            unanimous, majority = [], []
+            for atom, hits in zip(u.atoms, atom_hits_oracle(_listed(ws), u)):
+                for lit, count in ((atom, hits), (Not(atom), total - hits)):
+                    if count == total:
+                        unanimous.append(lit)
+                    elif 2 * count > total:
+                        majority.append(lit)
+            unanimous.sort(key=formula_to_str)
+            majority.sort(key=formula_to_str)
+            expected = [(a, b) for a in unanimous for b in majority]
+            got = derive_world_questions(ws, max_questions=len(expected) + 1)
+            assert [(q.antecedent, q.consequent) for q in got] == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(world_sets(), st.integers(1, 20), st.integers(0, 10**6))
+    def test_sample_picks(self, case, k, seed):
+        _, s, models, _ = case
+        for ws in (s, models):
+            if not len(ws):
+                continue
+            ranked = sorted(ws.masks)
+            if k >= len(ranked):
+                expected = ranked
+            else:
+                picks = random.Random(seed).sample(range(len(ranked)), k)
+                expected = sorted(ranked[i] for i in picks)
+            assert list(sample_worlds(ws, k, seed).masks) == expected
+
+            def score(w):
+                return w.mask * 2654435761 % 97
+
+            top = sorted(ranked, key=lambda m: (-(m * 2654435761 % 97), m))[:k]
+            assert list(sample_worlds(ws, k, seed, score).masks) == sorted(top)
