@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
     ParseError,
     StoryworldsError,
 )
-from .report import config_from_file, merge_config, render_report, run_analysis
+from .report import RunConfig, merge_config, read_config_file, render_report, run_analysis
 from .story import formula_to_str, parse_story
 from .worlds import enumerate_models
 
@@ -63,20 +64,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    base = config_from_file(args.config) if args.config else None
-    overrides = {
-        "story": args.story,
-        "channel": args.channel,
-        "truth": args.truth,
-        "sample_k": args.sample_k,
-        "seed": args.seed,
-        "theta": args.theta,
-        "epsilon": args.epsilon,
-        "bound": args.bound,
-        "format": args.format,
-        "out": args.out,
-    }
-    config = merge_config(base, overrides)
+    values = read_config_file(args.config) if args.config else {}
+    names = {f.name for f in fields(RunConfig)}
+    values.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
+    config = merge_config(values)
     story_text = _read_story(config.story)
     report = run_analysis(config, story_text)
     payload = render_report(report, config.format)

@@ -9,7 +9,9 @@ closed under intersection.
 
 Plausibility extraction and the reconciliation vote (ultraproduct) live here
 as well: the vote makes a ground atom true exactly when the set of base
-worlds satisfying it belongs to the ultrafilter.
+worlds satisfying it belongs to the ultrafilter. Extending a principal filter
+whose generator holds world 0, and voting over a principal ultrafilter, take
+closed forms; every other input goes through the subset scan and the vote.
 """
 
 from __future__ import annotations
@@ -52,19 +54,13 @@ def _upward_closed(members: frozenset, base_size: int) -> bool:
     return True
 
 
-def _no_complement_pair(members: frozenset, full: int) -> bool:
-    return all(full ^ x not in members for x in members)
-
-
 def is_weak_filter(members: Iterable[int], base: WorldSet) -> bool:
     """Check the weak filter axioms: non-empty, upward closed, and never
     both a set and its complement."""
     n = len(base)
     fam = _check_members(members, n)
-    if not fam:
-        return False
     full = (1 << n) - 1
-    return _upward_closed(fam, n) and _no_complement_pair(fam, full)
+    return bool(fam) and _upward_closed(fam, n) and all(full ^ x not in fam for x in fam)
 
 
 def is_weak_ultrafilter(members: Iterable[int], base: WorldSet) -> bool:
@@ -77,10 +73,7 @@ def is_weak_ultrafilter(members: Iterable[int], base: WorldSet) -> bool:
     """
     n = len(base)
     fam = _check_members(members, n)
-    if n == 0 or len(fam) != 1 << (n - 1):
-        return False
-    full = (1 << n) - 1
-    return _upward_closed(fam, n) and _no_complement_pair(fam, full)
+    return n > 0 and len(fam) == 1 << (n - 1) and is_weak_filter(fam, base)
 
 
 class WeakFilter:
@@ -248,12 +241,21 @@ def extend_to_ultrafilter(f: WeakFilter) -> WeakUltrafilter:
     Undecided pairs are resolved in ascending bitmask order, preferring the
     side whose smallest canonical world index is smaller (i.e. the side
     containing world 0).
+
+    A principal filter whose generator holds world 0 extends, over a base of
+    any size, to the principal ultrafilter at world 0: its members all hold
+    world 0 and their complements lack it, so the preferred side of each
+    undecided pair (the one holding world 0) never conflicts, and adding its
+    supersets keeps that so. The scan ends with one side of every pair a
+    member, all holding world 0: exactly the sets that hold world 0. Other
+    principal filters may extend to non-principal families
+    (``principal(0b110)`` over three worlds gives the majority family).
     """
+    if f.is_principal and f._generator & 1:
+        return WeakUltrafilter(f.base, generator=1)
     n = len(f.base)
-    if n > EXTENSIONAL_BASE_LIMIT:
-        raise FilterError(f"extension needs base size <= {EXTENSIONAL_BASE_LIMIT}")
     full = f.full_mask
-    members = set(f.member_masks())
+    members = set(f.member_masks())  # refuses bases beyond EXTENSIONAL_BASE_LIMIT
     excluded = {full ^ x for x in members}
 
     for x in range(1 << n):
@@ -283,9 +285,12 @@ def ultraproduct(uf: WeakUltrafilter) -> World:
     Each ground atom becomes true exactly when the set of base worlds
     satisfying it is a member of the ultrafilter. The result is a complete
     world; it need not itself belong to the base (callers that care should
-    check and report).
+    check and report). A principal ultrafilter at world ``i`` votes exactly
+    like world ``i``, so it returns that world.
     """
     u = uf.base.universe
+    if uf.is_principal:
+        return World(u, uf.base.masks[uf._generator.bit_length() - 1])
     assignment = 0
     for i, atom in enumerate(u.atoms):
         if uf.is_member(support_mask(uf.base, atom)):

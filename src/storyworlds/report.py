@@ -39,10 +39,6 @@ from .metrics import (
 from .story import Timeline, delta, formula_to_str, parse_formula, parse_story
 from .worlds import agreement_check, enumerate_models, intersect, sample_worlds
 
-#: Final world sets larger than this skip the ultrafilter-extension
-#: reconciliation check (extension is exponential in the base size).
-RECONCILIATION_LIMIT = 10
-
 CSV_COLUMNS = (
     "step",
     "world_count",
@@ -86,45 +82,59 @@ class RunConfig:
             raise ValueError("format must be 'json' or 'csv'")
 
 
-def config_from_file(path: str | Path) -> RunConfig:
-    """Load a RunConfig from a JSON file with the same keys as the flags."""
+def read_config_file(path: str | Path) -> dict[str, Any]:
+    """Read a JSON config file: one object with the same keys as the flags."""
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
-    return merge_config(None, raw)
+    return raw
 
 
-def merge_config(base: RunConfig | None, overrides: Mapping[str, Any]) -> RunConfig:
-    """Apply overrides (flag values or config-file keys) over a base config."""
-    known = {f.name for f in fields(RunConfig)}
-    unknown = set(overrides) - known
+def merge_config(values: Mapping[str, Any]) -> RunConfig:
+    """Build a RunConfig from flag values or config-file keys, leaving keys
+    whose value is ``None`` at their defaults. A value of the wrong type is a
+    ValueError that names its key."""
+    unknown = set(values) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    values: dict[str, Any] = {}
-    if base is not None:
-        values.update((name, getattr(base, name)) for name in known)
-    for key, value in overrides.items():
+    fields_given: dict[str, Any] = {}
+    for key, value in values.items():
         if value is None:
             continue
-        if key == "theta":
-            value = parse_ratio(value)
-        elif key == "epsilon":
-            value = float(value)
-        elif key in ("sample_k", "seed", "bound"):
-            value = int(value)
-        elif key == "questions":
-            value = tuple(value)
-        values[key] = value
-    if "story" not in values:
+        try:
+            fields_given[key] = _config_value(key, value)
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"config key '{key}': {e}") from None
+    if "story" not in fields_given:
         raise ValueError("no story file given (positional argument or config key)")
-    return RunConfig(**values)
+    return RunConfig(**fields_given)
+
+
+def _config_value(key: str, value: Any) -> Any:
+    if key == "theta":
+        return parse_ratio(value)
+    if key == "epsilon":
+        return float(value)
+    if key in ("sample_k", "seed", "bound"):
+        if isinstance(value, (bool, float)):
+            raise TypeError(f"expected an integer, not {type(value).__name__}")
+        return int(value)
+    if key == "questions":
+        if isinstance(value, (list, tuple)) and all(isinstance(q, Mapping) for q in value):
+            return tuple(value)
+        raise TypeError("expected a list of question objects")
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, not {type(value).__name__}")
+    return value
 
 
 def parse_ratio(value: Any) -> Fraction:
     """Parse a threshold: a number, a decimal string, or a 'p/q' string."""
     if isinstance(value, str) and "/" in value:
-        num, den = value.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in value.split("/", 1))
+        if den == 0:
+            raise ValueError(f"'{value}' has a zero denominator")
+        return Fraction(num, den)
     if isinstance(value, float):
         # read floats decimally (0.3 -> 3/10), not as binary expansions
         return Fraction(str(value))
@@ -179,7 +189,10 @@ def _config_questions(
             raise ValueError("each question needs 'if' and 'then' formulas")
         answers = spec.get("answers")
         if answers is not None:
-            answers = (bool(answers[0]), bool(answers[1]))
+            kinds = [type(a) for a in answers] if isinstance(answers, (list, tuple)) else None
+            if kinds != [bool, bool]:
+                raise ValueError("a question's 'answers' must be two booleans")
+            answers = tuple(answers)
         out.append(
             Question(
                 parse_formula(str(spec["if"]), universe),
@@ -211,8 +224,10 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
     config_questions = _config_questions(config.questions, universe)
 
     steps_out = []
+    samples = []
     for t, state in enumerate(states):
         sample = sample_worlds(state.worlds, config.sample_k, config.seed)
+        samples.append(sample)
         questions = config_questions or derive_world_questions(sample)
         if questions:
             coherence = rational(world_coherence(sample, questions))
@@ -271,13 +286,10 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
     etc_rows = []
     if kernels is not None:
         for k in kernels.kernels:
-            sample_then = sample_worlds(
-                states[k - 1].worlds, config.sample_k, config.seed
-            )
             row: dict[str, Any] = {"kernel_step": k, "t_then": k - 1, "t_now": k}
             try:
                 value = transitional_coherence(
-                    sample_then,
+                    samples[k - 1],
                     truth,
                     kernels,
                     t_then=k - 1,
@@ -301,26 +313,15 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
     ]
 
     final = states[-1]
-    if len(final.worlds) <= RECONCILIATION_LIMIT:
-        up = ultraproduct(extend_to_ultrafilter(final.filter))
-        inside = up in final.worlds
-        reconciliation = {
-            "checked": True,
-            "in_final_worlds": inside,
-            "world": [formula_to_str(l) for l in up.literals()],
-        }
-        if not inside:
-            warnings.append("reconciled (ultraproduct) world falls outside the final world set")
-    else:
-        reconciliation = {
-            "checked": False,
-            "in_final_worlds": None,
-            "world": None,
-        }
-        warnings.append(
-            f"reconciliation check skipped: {len(final.worlds)} worlds exceed "
-            f"the {RECONCILIATION_LIMIT}-world extension limit"
-        )
+    up = ultraproduct(extend_to_ultrafilter(final.filter))
+    inside = up in final.worlds
+    reconciliation = {
+        "checked": True,
+        "in_final_worlds": inside,
+        "world": [formula_to_str(l) for l in up.literals()],
+    }
+    if not inside:
+        warnings.append("reconciled (ultraproduct) world falls outside the final world set")
 
     return {
         "config": {

@@ -7,8 +7,16 @@ import jsonschema
 import pytest
 
 from storyworlds.cli import main
+from storyworlds.conveyance import evolve, parse_channel_spec
 from storyworlds.logic import Universe
-from storyworlds.report import CSV_COLUMNS, RunConfig, config_from_file, run_analysis
+from storyworlds.report import (
+    CSV_COLUMNS,
+    RunConfig,
+    merge_config,
+    read_config_file,
+    run_analysis,
+)
+from storyworlds.story import formula_to_str
 
 BAD_STORY = "sort s: a\nrel p(s)\n\nt=0:\n+ p(a)\n+ !p(a)\n"
 SYNTAX_ERROR_STORY = "sort s a\n"
@@ -191,6 +199,50 @@ class TestAnalyze:
         wc = report["steps"][0]["world_coherence"]
         assert (wc["num"], wc["den"]) == (1, 2)
 
+    def test_config_file_without_story_takes_the_positional_story(
+        self, cards_story_path, tmp_path
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 3}))
+        out = tmp_path / "report.json"
+        argv = ["analyze", str(cards_story_path), "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["config"]["seed"] == 3
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"channel": 5},
+            {"truth": 5},
+            {"story": 5},
+            {"out": 5},
+            {"theta": [1]},
+            {"theta": "1/0"},
+            {"seed": 3.7},
+            {"sample_k": True},
+            {"questions": 5},
+            {"questions": [5]},
+            {"questions": [{"if": "true", "then": "wears(ali,blue)", "answers": 1}]},
+        ],
+        ids=repr,
+    )
+    def test_bad_config_value_exits_1_with_a_message(
+        self, cards_story_path, tmp_path, capsys, values
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(values))
+        story = [] if "story" in values else [str(cards_story_path)]
+        out = [] if "out" in values else ["--out", str(tmp_path / "report.json")]
+        assert main(["analyze", *story, "--config", str(cfg), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_zero_denominator_theta_flag_exits_1(self, cards_story_path, capsys):
+        assert main(["analyze", str(cards_story_path), "--theta", "1/0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config key 'theta'") and "Traceback" not in err
+
     def test_missing_story_everywhere_exits_1(self):
         assert main(["analyze"]) == 1
 
@@ -212,7 +264,7 @@ class TestRunConfig:
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"story": "x", "tehta": 0.5}))
         with pytest.raises(ValueError):
-            config_from_file(cfg)
+            merge_config(read_config_file(cfg))
 
     def test_partial_reports_never_written(self, cards_story_path, tmp_path):
         # analysis failure (bad channel) must leave no output file behind
@@ -229,6 +281,24 @@ class TestRunConfig:
         )
         assert code == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "channel", ["identity", "drop(wears(ali,blue))", "corrupt(wears(jay,blue))"]
+    )
+    def test_reconciliation_is_the_lowest_final_world(
+        self, cards_story_path, cards_timeline, channel
+    ):
+        # the final set holds more than ten worlds, and is reconciled anyway
+        report = run_analysis(RunConfig(story=str(cards_story_path), channel=channel))
+        final = evolve(cards_timeline, parse_channel_spec(channel, cards_timeline.universe))[-1]
+        assert len(final.worlds) > 10
+        lowest = final.worlds[0]
+        assert report["reconciliation"] == {
+            "checked": True,
+            "in_final_worlds": True,
+            "world": [formula_to_str(l) for l in lowest.literals()],
+        }
+        assert not any("reconciliation" in w for w in report["warnings"])
 
     def test_run_analysis_accepts_preloaded_text(self, cards_story_path):
         text = cards_story_path.read_text()

@@ -123,6 +123,28 @@ class TestExtension:
         uf = extend_to_ultrafilter(f)
         assert uf.member_masks() == supersets_of(0b0001, 4)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_closed_form_matches_the_scan(self, n):
+        # principal filters whose generator holds world 0 skip the scan
+        base = WorldSet(chain_universe(3), range(n))
+        for generator in range(1, 1 << n, 2):
+            f = WeakFilter.principal(base, generator)
+            closed = extend_to_ultrafilter(f)
+            scanned = extend_to_ultrafilter(WeakFilter.from_members(base, f.member_masks()))
+            assert closed.is_principal
+            assert closed.member_masks() == scanned.member_masks()
+
+    def test_principal_without_world_0_can_extend_to_a_majority(self):
+        # why the closed form is limited to generators holding world 0
+        base = WorldSet(chain_universe(2), [0, 1, 2])
+        uf = extend_to_ultrafilter(WeakFilter.principal(base, 0b110))
+        assert uf.member_masks() == {0b011, 0b101, 0b110, 0b111}
+
+    def test_closed_form_needs_no_extensional_base(self):
+        base = WorldSet(chain_universe(5), range(30))
+        uf = extend_to_ultrafilter(WeakFilter.principal(base, (1 << 30) - 1))
+        assert uf.is_member(0b1) and not uf.is_member(0b10)
+
     def test_fuzzed_extension_contains_input_and_is_ultra(self):
         rng = random.Random(2718)
         u = chain_universe(3)
@@ -215,6 +237,17 @@ class TestUltraproduct:
         for i in range(4):
             uf = WeakUltrafilter(base4, generator=1 << i)
             assert ultraproduct(uf) == base4[i]
+
+    def test_principal_vote_matches_its_extensional_copy(self):
+        rng = random.Random(404)
+        u = chain_universe(3)
+        for _ in range(30):
+            base = WorldSet(u, rng.sample(range(8), rng.randrange(1, 6)))
+            for i in range(len(base)):
+                uf = WeakUltrafilter(base, generator=1 << i)
+                copy = WeakUltrafilter(base, uf.member_masks())
+                assert not copy.is_principal
+                assert ultraproduct(uf) == ultraproduct(copy)
 
     def test_majority_vote(self):
         u = chain_universe(2)

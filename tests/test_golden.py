@@ -3,8 +3,11 @@ report byte for byte.
 
 The files under ``tests/data/golden/`` were written by the implementation
 that enumerated world sets as sorted mask tuples and evaluated every world
-one by one; they pin the report through any change of representation. To
-rewrite them after an intended report change::
+one by one; they pin the report through any change of representation. The
+eight ``cards-*.json`` files were rewritten once since, when reconciliation
+began to run on final world sets of more than ten worlds: only their
+``reconciliation`` block and one skip warning changed. To rewrite them after
+an intended report change::
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_all()"
 """
