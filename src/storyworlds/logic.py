@@ -6,7 +6,11 @@ atoms. A world is a total truth assignment over those atoms, packed into an
 integer bitmask (bit ``i`` holds the truth of atom ``i``). Consistency and
 entailment are decided by exhaustive enumeration, vectorised as bitwise
 operations on truth columns: a formula's column is an integer whose bit ``m``
-is the formula's value under assignment mask ``m``.
+is the formula's value under assignment mask ``m``. A formula's column is
+unmasked (negation is ``~``, so it may be negative); a set of assignments,
+such as ``models_column`` returns, is always a non-negative column below
+``2**atom_count``, and intersecting with it gives the formula's truth on that
+set.
 """
 
 from __future__ import annotations
@@ -318,13 +322,19 @@ def evaluate(world: World, f: Formula) -> bool:
 
 
 def truth_column(f: Formula, universe: Universe) -> int:
-    """Integer whose bit ``m`` is the truth of ``f`` under assignment mask ``m``."""
+    """Integer whose bit ``m`` is the truth of ``f`` under assignment mask ``m``.
+
+    The column is unmasked: bits below ``2**atom_count`` are the truth table,
+    and every higher bit equals bit 0 (the all-false assignment), so the
+    integer is still one value per truth table but may be negative. Intersect
+    it with a world set's column (or ``full_column()``) before counting bits.
+    """
     if isinstance(f, Atom):
         return universe.atom_column(universe.atom_index(f))
     if isinstance(f, Constant):
-        return universe.full_column() if f.value else 0
+        return -1 if f.value else 0
     if isinstance(f, Not):
-        return universe.full_column() & ~truth_column(f.operand, universe)
+        return ~truth_column(f.operand, universe)
     if isinstance(f, And):
         col = truth_column(f.items[0], universe)
         for item in f.items[1:]:
@@ -336,9 +346,7 @@ def truth_column(f: Formula, universe: Universe) -> int:
             col |= truth_column(item, universe)
         return col
     if isinstance(f, Implies):
-        a = truth_column(f.antecedent, universe)
-        b = truth_column(f.consequent, universe)
-        return (universe.full_column() & ~a) | b
+        return ~truth_column(f.antecedent, universe) | truth_column(f.consequent, universe)
     raise TypeError(f"not a formula: {f!r}")
 
 

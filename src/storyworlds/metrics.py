@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .conveyance import ReaderState
 from .errors import EmptyWorldSetError, MetricError
+from .filters import plausible_facts
 from .logic import (
     Atom,
     Formula,
@@ -79,43 +81,55 @@ def relevance(q: Question, prior: WorldSet, truth: World | None = None) -> float
     values mean the antecedent genuinely informs the consequent; independence
     yields exactly zero because both proportions coincide.
     """
-    if len(prior) == 0:
+    total = len(prior)
+    if total == 0:
         raise EmptyWorldSetError("relevance needs a non-empty prior")
     a, b = q.resolve_answers(truth)
-    ind_a = q.antecedent if a else Not(q.antecedent)
-    sub = prior.column & truth_column(ind_a, prior.universe)
-    if not sub:
+    col_a = truth_column(q.antecedent, prior.universe)
+    sub = prior.column & (col_a if a else ~col_a)
+    n_a = sub.bit_count()
+    if not n_a:
         raise MetricError(
             "empty conditional sub-population: no prior world matches the antecedent's answer"
         )
-    ind_b = q.consequent if b else Not(q.consequent)
-    both = sub & truth_column(ind_b, prior.universe)
-    p_a = Fraction(sub.bit_count(), len(prior))
-    p_b_given_a = Fraction(both.bit_count(), sub.bit_count())
-    return binary_entropy(p_a) - binary_entropy(p_b_given_a)
+    col_b = truth_column(q.consequent, prior.universe)
+    n_ab = (sub & (col_b if b else ~col_b)).bit_count()
+    # int / int is correctly rounded, so these equal float(Fraction(...)).
+    return binary_entropy(n_a / total) - binary_entropy(n_ab / n_a)
+
+
+def _proportions(
+    sample: WorldSet, questions: Iterable[Question]
+) -> tuple[int, Iterator[Fraction]]:
+    """The question count and each question's truth proportion over the
+    sample, streamed in question order."""
+    qs = tuple(questions)
+    if not qs:
+        raise MetricError("coherence needs a non-empty question set")
+    return len(qs), (truth_proportion(sample, q.materialize()) for q in qs)
 
 
 def world_coherence(sample: WorldSet, questions: Iterable[Question]) -> Fraction:
     """Mean truth proportion of the questions' implications over the sample."""
-    qs = tuple(questions)
-    if not qs:
-        raise MetricError("world coherence needs a non-empty question set")
-    if len(sample) == 0:
-        raise EmptyWorldSetError("world coherence over an empty sample")
-    total = sum(
-        (truth_proportion(sample, q.materialize()) for q in qs), Fraction(0)
-    )
-    return total / len(qs)
+    count, proportions = _proportions(sample, questions)
+    return sum(proportions, Fraction(0)) / count
 
 
 def mean_question_entropy(sample: WorldSet, questions: Iterable[Question]) -> float:
     """Companion value: mean binary entropy of the per-question proportions."""
-    qs = tuple(questions)
-    if not qs:
-        raise MetricError("mean question entropy needs a non-empty question set")
-    return sum(
-        binary_entropy(truth_proportion(sample, q.materialize())) for q in qs
-    ) / len(qs)
+    count, proportions = _proportions(sample, questions)
+    return sum(map(binary_entropy, proportions)) / count
+
+
+def _question_pairs(
+    antecedents: Sequence[Formula], consequents: Sequence[Formula], max_questions: int
+) -> tuple[Question, ...]:
+    """Questions ``a -> b`` answered (true, true), antecedent-major in the
+    given orders, capped at ``max_questions``."""
+    if max_questions < 0:
+        raise ValueError(f"question cap {max_questions} is negative")
+    pairs = (Question(a, b, (True, True)) for a in antecedents for b in consequents)
+    return tuple(islice(pairs, max_questions))
 
 
 def derive_world_questions(
@@ -142,13 +156,7 @@ def derive_world_questions(
                 majority.append(lit)
     unanimous.sort(key=formula_to_str)
     majority.sort(key=formula_to_str)
-    out = []
-    for a in unanimous:
-        for b in majority:
-            out.append(Question(a, b, (True, True)))
-            if len(out) >= max_questions:
-                return tuple(out)
-    return tuple(out)
+    return _question_pairs(unanimous, majority, max_questions)
 
 
 @dataclass(frozen=True)
@@ -282,13 +290,7 @@ def kernel_questions(
     consequents = sorted(after - before, key=formula_to_str)
     if restrict is not None:
         consequents = [c for c in consequents if _consistent_with(c, restrict)]
-    out = []
-    for a in antecedents:
-        for b in consequents:
-            out.append(Question(a, b, (True, True)))
-            if len(out) >= max_questions:
-                return tuple(out)
-    return tuple(out)
+    return _question_pairs(antecedents, consequents, max_questions)
 
 
 def _consistent_with(literal: Formula, restrict: Mapping[Atom, bool]) -> bool:
@@ -344,15 +346,8 @@ def pullback_restriction(truth_now: World, sample_then: WorldSet) -> dict[Atom, 
     """Restrict a later ground-truth world to the atoms the earlier sample
     already decides (the maximal view of the truth visible at the earlier
     time)."""
-    if len(sample_then) == 0:
-        raise EmptyWorldSetError("pullback over an empty sample")
-    col, u = sample_then.column, sample_then.universe
-    out: dict[Atom, bool] = {}
-    for atom in truth_now.universe.atoms:
-        atom_col = u.atom_column(u.atom_index(atom))
-        if col & ~atom_col == 0 or col & atom_col == 0:
-            out[atom] = truth_now.truth(atom)
-    return out
+    decided = {f.operand if isinstance(f, Not) else f for f in plausible_facts(sample_then)}
+    return {a: truth_now.truth(a) for a in truth_now.universe.atoms if a in decided}
 
 
 def transitional_coherence(
@@ -378,10 +373,7 @@ def transitional_coherence(
     set.
     """
     if questions is not None:
-        qs = tuple(questions)
-        if not qs:
-            raise MetricError("transitional coherence needs a non-empty question set")
-        return world_coherence(sample_then, qs)
+        return world_coherence(sample_then, questions)
 
     if kernels is None or states is None or t_then is None or t_now is None:
         raise MetricError(

@@ -111,13 +111,15 @@ def merge_config(values: Mapping[str, Any]) -> RunConfig:
 
 
 def _config_value(key: str, value: Any) -> Any:
+    if isinstance(value, bool) and key in ("theta", "epsilon", "sample_k", "seed", "bound"):
+        raise TypeError("expected a number, not bool")
     if key == "theta":
         return parse_ratio(value)
     if key == "epsilon":
         return float(value)
     if key in ("sample_k", "seed", "bound"):
-        if isinstance(value, (bool, float)):
-            raise TypeError(f"expected an integer, not {type(value).__name__}")
+        if isinstance(value, float):
+            raise TypeError("expected an integer, not float")
         return int(value)
     if key == "questions":
         if isinstance(value, (list, tuple)) and all(isinstance(q, Mapping) for q in value):

@@ -127,9 +127,10 @@ def intersect(a: WorldSet, b: WorldSet) -> WorldSet:
 
 def truth_proportion(s: WorldSet, q: Formula) -> Fraction:
     """Exact fraction of worlds in ``s`` where ``q`` holds."""
-    if len(s) == 0:
+    total = len(s)
+    if total == 0:
         raise EmptyWorldSetError("truth proportion over an empty world set")
-    return Fraction((s.column & truth_column(q, s.universe)).bit_count(), len(s))
+    return Fraction((s.column & truth_column(q, s.universe)).bit_count(), total)
 
 
 def agreement_check(shared: WorldSet, rho: Iterable[Formula]) -> bool:

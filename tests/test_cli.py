@@ -218,6 +218,8 @@ class TestAnalyze:
             {"out": 5},
             {"theta": [1]},
             {"theta": "1/0"},
+            {"theta": True},
+            {"epsilon": False},
             {"seed": 3.7},
             {"sample_k": True},
             {"questions": 5},

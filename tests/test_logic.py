@@ -3,6 +3,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storyworlds.errors import BoundExceededError, UniverseError, UnknownAtomError
 from storyworlds.logic import (
@@ -18,6 +20,8 @@ from storyworlds.logic import (
     consistent,
     entails,
     evaluate,
+    map_atoms,
+    truth_column,
 )
 from storyworlds.story import Fabula, formula_to_str
 from storyworlds.worlds import enumerate_models
@@ -111,6 +115,23 @@ class TestEvaluate:
             f = random_formula(rng, cards_universe, 3)
             w = World(cards_universe, rng.randrange(256))
             assert evaluate(w, f) == evaluate(w, f)
+
+
+class TestTruthColumn:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 4))
+    def test_unmasked_column_extends_the_truth_table_by_bit_0(self, seed, depth):
+        rng = random.Random(seed)
+        u = random_universe(rng, 6)
+        f = map_atoms(
+            random_formula(rng, u, depth),
+            lambda a: Constant(rng.random() < 0.5) if rng.random() < 0.25 else a,
+        )
+        top = 1 << u.atom_count
+        table = sum(1 << m for m in range(top) if evaluate(World(u, m), f))
+        col = truth_column(f, u)
+        assert col & u.full_column() == table
+        assert col >> top == -(col & 1)
 
 
 class TestConsistent:

@@ -7,7 +7,7 @@ import pytest
 
 from storyworlds.conveyance import Channel, evolve
 from storyworlds.errors import EmptyWorldSetError, MetricError
-from storyworlds.logic import And, Constant, Not, Or, World
+from storyworlds.logic import FALSE, TRUE, And, Constant, Implies, Not, Or, World
 from storyworlds.metrics import (
     Question,
     binary_entropy,
@@ -194,6 +194,15 @@ class TestDeriveWorldQuestions:
         everything = enumerate_models([], cards_universe)
         assert derive_world_questions(everything) == ()
 
+    def test_question_cap(self, worlds_s0):
+        sample = sample_worlds(worlds_s0, 16, seed=0)
+        qs = derive_world_questions(sample)
+        assert len(qs) > 2
+        assert derive_world_questions(sample, max_questions=2) == qs[:2]
+        assert derive_world_questions(sample, max_questions=0) == ()
+        with pytest.raises(ValueError):
+            derive_world_questions(sample, max_questions=-1)
+
 
 class TestBooleanLattice:
     def test_worked_example(self, cards_universe):
@@ -222,6 +231,16 @@ class TestBooleanLattice:
     def test_singleton(self, cards_universe):
         lat = boolean_lattice([cards_universe.atoms[0]], cards_universe)
         assert len(lat.classes) == 1 and not lat.edges and lat.sources == (0,)
+
+    def test_tautologies_share_a_class(self, cards_universe):
+        a = cards_universe.atoms[0]
+        lat = boolean_lattice([TRUE, Or((a, Not(a))), Implies(a, a)], cards_universe)
+        assert len(lat.classes) == 1
+
+    def test_implying_false_is_negation(self, cards_universe):
+        a = cards_universe.atoms[0]
+        lat = boolean_lattice([Implies(a, FALSE), Not(a)], cards_universe)
+        assert len(lat.classes) == 1
 
     def test_equivalent_formulas_collapse(self, cards_universe):
         a = cards_universe.atoms[0]
@@ -394,3 +413,12 @@ def test_kernel_question_answers_default_true():
     states = evolve(parse_story(REVEAL_STORY), Channel.identity())
     for q in kernel_questions(states, 3):
         assert q.answers == (True, True)
+
+
+def test_kernel_question_cap(reveal_states):
+    qs = kernel_questions(reveal_states, 3)
+    assert len(qs) > 2
+    assert kernel_questions(reveal_states, 3, max_questions=2) == qs[:2]
+    assert kernel_questions(reveal_states, 3, max_questions=0) == ()
+    with pytest.raises(ValueError):
+        kernel_questions(reveal_states, 3, max_questions=-1)
