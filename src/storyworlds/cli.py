@@ -21,6 +21,7 @@ from .errors import (
     ParseError,
     StoryworldsError,
 )
+from .logic import Not
 from .report import RunConfig, merge_config, read_config_file, render_report, run_analysis
 from .story import formula_to_str, parse_story
 from .worlds import enumerate_models
@@ -58,8 +59,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     models = enumerate_models(timeline.steps[args.t], bound=args.bound)
     print(len(models))
     if args.list:
+        # Each world is printed as the select streams it; nothing is listed.
+        literals = [(formula_to_str(Not(a)), formula_to_str(a)) for a in models.universe.atoms]
         for world in models:
-            print("  " + " ".join(formula_to_str(l) for l in world.literals()))
+            print("  " + " ".join(lit[world.mask >> i & 1] for i, lit in enumerate(literals)))
     return EXIT_OK
 
 

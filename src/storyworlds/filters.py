@@ -4,7 +4,8 @@ A weak filter over a base world set M is a non-empty family of subsets of M
 that is upward closed and never contains both a subset and its complement.
 A weak ultrafilter additionally decides every subset-or-complement pair.
 Subsets are bitmasks over the base's canonical world order (bit ``i`` is
-``base[i]``); this is weaker than a classical filter, which would also be
+``base[i]``, the base's rank space, where ``support_mask`` evaluates
+formulas); this is weaker than a classical filter, which would also be
 closed under intersection.
 
 Plausibility extraction and the reconciliation vote (ultraproduct) live here
@@ -29,9 +30,9 @@ EXTENSIONAL_BASE_LIMIT = 24
 
 def support_mask(base: WorldSet, p: Formula) -> int:
     """Bitmask of the base worlds in which ``p`` is true (bit ``i`` is
-    ``base[i]``)."""
-    col = truth_column(p, base.universe)
-    return sum(1 << i for i, m in enumerate(base.masks) if col >> m & 1)
+    ``base[i]``): the truth column of ``p`` in the base's rank space."""
+    ranked = base.ranked()
+    return ranked.own_column & truth_column(p, ranked.table)
 
 
 def _check_members(members: Iterable[int], base_size: int) -> frozenset:
@@ -220,12 +221,12 @@ def plausible_facts(
     """
     if len(worlds) == 0:
         raise EmptyWorldSetError("plausible facts over an empty world set")
-    col, u = worlds.column, worlds.universe
+    col, table = worlds.own_column, worlds.table
     if candidates is not None:
-        return frozenset(c for c in candidates if col & ~truth_column(c, u) == 0)
+        return frozenset(c for c in candidates if col & ~truth_column(c, table) == 0)
     facts = []
-    for i, a in enumerate(u.atoms):
-        atom_col = u.atom_column(i)
+    for i, a in enumerate(worlds.universe.atoms):
+        atom_col = table.atom_column(i)
         if col & ~atom_col == 0:
             facts.append(a)
         elif col & atom_col == 0:
@@ -290,9 +291,10 @@ def ultraproduct(uf: WeakUltrafilter) -> World:
     """
     u = uf.base.universe
     if uf.is_principal:
-        return World(u, uf.base.masks[uf._generator.bit_length() - 1])
+        return uf.base[uf._generator.bit_length() - 1]
+    base = uf.base.ranked()
     assignment = 0
     for i, atom in enumerate(u.atoms):
-        if uf.is_member(support_mask(uf.base, atom)):
+        if uf.is_member(support_mask(base, atom)):
             assignment |= 1 << i
     return World(u, assignment)

@@ -10,13 +10,15 @@ is the formula's value under assignment mask ``m``. A formula's column is
 unmasked (negation is ``~``, so it may be negative); a set of assignments,
 such as ``models_column`` returns, is always a non-negative column below
 ``2**atom_count``, and intersecting with it gives the formula's truth on that
-set.
+set. ``truth_column`` reads atom columns from a table: the universe is the
+table of these ``2**n``-bit columns, and a sample's rank table holds its own
+``k``-bit columns (bit ``r`` is its ``r``-th world).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .errors import BoundExceededError, UniverseError, UnknownAtomError
 
@@ -24,9 +26,11 @@ from .errors import BoundExceededError, UniverseError, UnknownAtomError
 #: enumeration refuses (BoundExceededError) rather than sampling silently.
 DEFAULT_ATOM_BOUND = 24
 
-#: Hard ceiling that no bound can raise. A truth column over 2**26 worlds is
-#: 8 MiB, but listing every world of it (sampling does) takes about 2.5 GiB
-#: of Python integers; beyond this no exhaustive run can finish.
+#: Hard ceiling that no bound can raise. What bounds it is memory: every
+#: analysed step keeps two truth columns over all 2**n assignments (the
+#: narrator's fabula and the reader's world set), 8 MiB each at 26 atoms.
+#: Nothing lists a set's worlds to sample it. Raising the ceiling waits for
+#: measured time and peak memory at 24 atoms and above.
 ATOM_CEILING = 26
 
 
@@ -321,32 +325,44 @@ def evaluate(world: World, f: Formula) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def truth_column(f: Formula, universe: Universe) -> int:
-    """Integer whose bit ``m`` is the truth of ``f`` under assignment mask ``m``.
+class ColumnTable(Protocol):
+    """Where ``truth_column`` reads atom columns: a ``Universe`` (bit ``m`` is
+    assignment mask ``m``) or a sample's ``worlds.RankTable`` (bit ``r`` is
+    its ``r``-th world)."""
 
-    The column is unmasked: bits below ``2**atom_count`` are the truth table,
-    and every higher bit equals bit 0 (the all-false assignment), so the
-    integer is still one value per truth table but may be negative. Intersect
-    it with a world set's column (or ``full_column()``) before counting bits.
+    def atom_index(self, atom: Atom) -> int: ...
+
+    def atom_column(self, index: int) -> int: ...
+
+
+def truth_column(f: Formula, table: ColumnTable) -> int:
+    """Integer whose bit ``m`` is the truth of ``f`` at the table's world ``m``.
+
+    Over a universe, world ``m`` is assignment mask ``m``; over a rank table,
+    it is the ``m``-th world the table was built from. The column is
+    unmasked: every bit past the table's worlds is the value of ``f`` with
+    all atoms false (over a universe, that is bit 0), so the integer may be
+    negative. Intersect it with a world set's ``own_column`` (or
+    ``full_column()``) before counting bits.
     """
     if isinstance(f, Atom):
-        return universe.atom_column(universe.atom_index(f))
+        return table.atom_column(table.atom_index(f))
     if isinstance(f, Constant):
         return -1 if f.value else 0
     if isinstance(f, Not):
-        return ~truth_column(f.operand, universe)
+        return ~truth_column(f.operand, table)
     if isinstance(f, And):
-        col = truth_column(f.items[0], universe)
+        col = truth_column(f.items[0], table)
         for item in f.items[1:]:
-            col &= truth_column(item, universe)
+            col &= truth_column(item, table)
         return col
     if isinstance(f, Or):
         col = 0
         for item in f.items:
-            col |= truth_column(item, universe)
+            col |= truth_column(item, table)
         return col
     if isinstance(f, Implies):
-        return ~truth_column(f.antecedent, universe) | truth_column(f.consequent, universe)
+        return ~truth_column(f.antecedent, table) | truth_column(f.consequent, table)
     raise TypeError(f"not a formula: {f!r}")
 
 

@@ -85,14 +85,14 @@ def relevance(q: Question, prior: WorldSet, truth: World | None = None) -> float
     if total == 0:
         raise EmptyWorldSetError("relevance needs a non-empty prior")
     a, b = q.resolve_answers(truth)
-    col_a = truth_column(q.antecedent, prior.universe)
-    sub = prior.column & (col_a if a else ~col_a)
+    col_a = truth_column(q.antecedent, prior.table)
+    sub = prior.own_column & (col_a if a else ~col_a)
     n_a = sub.bit_count()
     if not n_a:
         raise MetricError(
             "empty conditional sub-population: no prior world matches the antecedent's answer"
         )
-    col_b = truth_column(q.consequent, prior.universe)
+    col_b = truth_column(q.consequent, prior.table)
     n_ab = (sub & (col_b if b else ~col_b)).bit_count()
     # int / int is correctly rounded, so these equal float(Fraction(...)).
     return binary_entropy(n_a / total) - binary_entropy(n_ab / n_a)
@@ -144,11 +144,11 @@ def derive_world_questions(
     if len(sample) == 0:
         raise EmptyWorldSetError("cannot derive questions from an empty sample")
     total = len(sample)
-    u = sample.universe
+    members, table = sample.own_column, sample.table
     unanimous: list[Formula] = []
     majority: list[Formula] = []
-    for i, atom in enumerate(u.atoms):
-        hits = (sample.column & u.atom_column(i)).bit_count()
+    for i, atom in enumerate(sample.universe.atoms):
+        hits = (members & table.atom_column(i)).bit_count()
         for lit, count in ((atom, hits), (Not(atom), total - hits)):
             if count == total:
                 unanimous.append(lit)

@@ -26,6 +26,11 @@ def enumerate_models_bruteforce(props, universe: Universe) -> tuple[int, ...]:
     return tuple(out)
 
 
+def listing_oracle(column: int) -> list[int]:
+    """The set bits of a non-negative column, ascending, one bit at a time."""
+    return [m for m in range(column.bit_length()) if column >> m & 1]
+
+
 def truth_proportion_oracle(worlds, q) -> Fraction:
     """Fraction of the worlds in which ``q`` holds, one world at a time."""
     worlds = tuple(worlds)

@@ -78,3 +78,25 @@ def write_all() -> None:
 def test_report_matches_golden(tmp_path, story, name, spec, seed, fmt):
     got = render(story, spec, seed, fmt, tmp_path / f"report.{fmt}")
     assert got == golden_path(story, name, seed, fmt).read_bytes()
+
+
+#: (story file, step) for every step of both fixtures; the listings under
+#: ``tests/data/listings/`` were written by the implementation that listed
+#: each set as a tuple of masks before printing it.
+LISTINGS = (
+    ("cards.story", 0),
+    ("cards.story", 1),
+    ("reveal.story", 0),
+    ("reveal.story", 1),
+    ("reveal.story", 2),
+    ("reveal.story", 3),
+)
+
+
+@pytest.mark.parametrize(
+    "story, t", LISTINGS, ids=[f"{Path(s).stem}-t{t}" for s, t in LISTINGS]
+)
+def test_enumerate_listing_matches_golden(capsysbinary, story, t):
+    assert main(["enumerate", str(DATA / story), "-t", str(t), "--list"]) == 0
+    listing = DATA / "listings" / f"{Path(story).stem}-t{t}.txt"
+    assert capsysbinary.readouterr().out == listing.read_bytes()

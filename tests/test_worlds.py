@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from storyworlds.errors import EmptyWorldSetError, MetricError, UniverseMismatch
 from storyworlds.filters import plausible_facts, support_mask
 from storyworlds.logic import And, Not, World
 from storyworlds.metrics import Question, derive_world_questions, pullback_restriction, relevance
+from storyworlds import worlds as worlds_module
 from storyworlds.story import Fabula, formula_to_str
 from storyworlds.worlds import (
     WorldSet,
@@ -18,6 +20,7 @@ from storyworlds.worlds import (
     enumerate_models,
     intersect,
     sample_worlds,
+    select_masks,
     truth_proportion,
 )
 
@@ -26,6 +29,7 @@ from oracles import (
     agreement_oracle,
     atom_hits_oracle,
     enumerate_models_bruteforce,
+    listing_oracle,
     plausible_facts_oracle,
     pullback_oracle,
     relevance_oracle,
@@ -149,8 +153,11 @@ class TestAgreement:
 
 class TestSampling:
     def test_oversized_k_returns_the_set_itself(self, worlds_s0):
-        assert sample_worlds(worlds_s0, 64, seed=1) is worlds_s0
-        assert sample_worlds(worlds_s0, 1000, seed=1) is worlds_s0
+        for k in (64, 1000):
+            whole = sample_worlds(worlds_s0, k, seed=1)
+            assert whole == worlds_s0
+            assert whole.masks == worlds_s0.masks
+            assert whole.own_column == (1 << 64) - 1
 
     def test_singleton_sample(self, worlds_s0):
         assert len(sample_worlds(worlds_s0, 1, seed=3)) == 1
@@ -167,10 +174,6 @@ class TestSampling:
         s = sample_worlds(worlds_s0, 10, seed=9)
         assert list(s.masks) == sorted(s.masks)
         assert set(s.masks) <= set(worlds_s0.masks)
-
-    def test_score_hook_takes_top_k(self, worlds_s0):
-        top = sample_worlds(worlds_s0, 4, seed=0, score=lambda w: w.mask)
-        assert top.masks == tuple(sorted(worlds_s0.masks)[-4:])
 
     def test_empty_set_is_an_error(self, cards_universe):
         with pytest.raises(EmptyWorldSetError):
@@ -284,8 +287,86 @@ class TestColumnAgainstOracles:
                 expected = sorted(ranked[i] for i in picks)
             assert list(sample_worlds(ws, k, seed).masks) == expected
 
-            def score(w):
-                return w.mask * 2654435761 % 97
 
-            top = sorted(ranked, key=lambda m: (-(m * 2654435761 % 97), m))[:k]
-            assert list(sample_worlds(ws, k, seed, score).masks) == sorted(top)
+@st.composite
+def selections(draw):
+    """A column of up to 2**13 bits (empty, one world, full, dense or
+    sparse) and ascending ranks into it, always including the members on
+    either side of every select-block boundary."""
+    n = draw(st.integers(0, 13))
+    width = 1 << n
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(("empty", "single", "full", "dense", "sparse")))
+    column = {
+        "empty": lambda: 0,
+        "single": lambda: 1 << rng.randrange(width),
+        "full": lambda: (1 << width) - 1,
+        "dense": lambda: rng.getrandbits(width),
+        "sparse": lambda: rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width),
+    }[kind]()
+    listed = listing_oracle(column)
+    block_bits = worlds_module._BLOCK * 8
+    edges = set()
+    for edge in range(0, width + 1, block_bits):
+        r = bisect.bisect_left(listed, edge)
+        edges.update(x for x in (r - 1, r) if 0 <= x < len(listed))
+    drawn = draw(st.sets(st.integers(0, max(len(listed) - 1, 0)), max_size=20))
+    ranks = sorted(edges | {r for r in drawn if r < len(listed)})
+    return n, column, listed, ranks
+
+
+class TestRankSelect:
+    """The block rank-select against a bit-by-bit listing."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(selections())
+    def test_select_equals_listing(self, case):
+        n, column, listed, ranks = case
+        assert list(select_masks(column, ranks)) == [listed[r] for r in ranks]
+        ws = WorldSet.from_column(chain_universe(max(n, 1)), column)
+        assert ws.masks == tuple(listed)
+        assert [w.mask for w in ws] == listed
+        assert [ws[r].mask for r in ranks] == [listed[r] for r in ranks]
+
+    def test_edge_cases(self):
+        assert list(select_masks(0, [])) == []
+        assert list(select_masks(1 << 5000, [0])) == [5000]
+        full = (1 << 4096) - 1
+        boundaries = [1023, 1024, 2047, 2048, 4095]
+        assert list(select_masks(full, boundaries)) == boundaries
+        for column, ranks in ((0, [0]), (0b101, [2]), (0b101, [-1]), (0b111, [1, 0]), (0b111, [1, 1])):
+            with pytest.raises(IndexError):
+                list(select_masks(column, ranks))
+
+
+class TestRankSpace:
+    """A sample held in rank space answers as its universe-space copy and
+    the per-world oracles do."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(world_sets(), st.integers(1, 20), st.integers(0, 10**6))
+    def test_sample_matches_universe_space(self, case, k, seed):
+        u, s, models, queries = case
+        for ws in (WorldSet.from_column(u, s.column), models):
+            if not len(ws):
+                continue
+            sample = sample_worlds(ws, k, seed)
+            flat = WorldSet.from_column(u, sample.column)
+            listed = _listed(flat)
+            assert sample.own_column == (1 << len(listed)) - 1
+            assert len(sample) == len(flat) == min(k, len(ws))
+            assert sample == flat
+            for q in queries:
+                expected = truth_proportion_oracle(listed, q)
+                assert truth_proportion(sample, q) == truth_proportion(flat, q) == expected
+                expected = support_mask_oracle(listed, q)
+                assert support_mask(sample, q) == support_mask(flat, q) == expected
+            assert agreement_check(sample, queries) == agreement_oracle(listed, queries)
+            assert plausible_facts(sample) == plausible_facts(flat)
+            assert plausible_facts(sample) == plausible_facts_oracle(listed)
+            hits = atom_hits_oracle(listed, u)
+            assert tuple(
+                sample.table.atom_column(i).bit_count() for i in range(u.atom_count)
+            ) == hits
+            cap = len(u.atoms) ** 2 + 1
+            assert derive_world_questions(sample, cap) == derive_world_questions(flat, cap)
