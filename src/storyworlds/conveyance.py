@@ -288,22 +288,29 @@ def evolve(
     worlds. The same per-formula channel rewrite applies to additions and
     removals alike. A step whose result is unsatisfiable raises
     InconsistentStepError naming the step.
+
+    While the reader's fabula is the narrator's previous fabula and the
+    channel leaves a step's additions and removals as they are, the edit
+    yields the narrator's fabula itself, so the reader takes that object and
+    its column rather than building an equal one.
     """
     states: list[ReaderState] = []
-    reader_fab = Fabula(timeline.universe, ())
-    prev = Fabula(timeline.universe, ())
+    prev = reader_fab = Fabula(timeline.universe, ())
     for t, fab in enumerate(timeline.steps):
         edit = delta(prev, fab)
         additions = _rewrite(edit.additions, channel, warnings, f"step t={t} additions")
         removals = _rewrite(edit.removals, channel, warnings, f"step t={t} removals")
-        try:
-            reader_fab = apply_transition(
-                reader_fab, TransitionEdit(additions, removals), bound
-            )
-        except InconsistentFabulaError as e:
-            raise InconsistentStepError(t, e.conflict) from e
-        except ValueError as e:
-            raise ChannelError(f"channel output conflicts at step t={t}: {e}") from e
+        if reader_fab is prev and additions == edit.additions and removals == edit.removals:
+            reader_fab = fab
+        else:
+            try:
+                reader_fab = apply_transition(
+                    reader_fab, TransitionEdit(additions, removals), bound
+                )
+            except InconsistentFabulaError as e:
+                raise InconsistentStepError(t, e.conflict) from e
+            except ValueError as e:
+                raise ChannelError(f"channel output conflicts at step t={t}: {e}") from e
         states.append(reconstruct(reader_fab, bound))
         prev = fab
     return tuple(states)

@@ -27,8 +27,9 @@ from .errors import BoundExceededError, UniverseError, UnknownAtomError
 DEFAULT_ATOM_BOUND = 24
 
 #: Hard ceiling that no bound can raise. What bounds it is memory: every
-#: analysed step keeps two truth columns over all 2**n assignments (the
-#: narrator's fabula and the reader's world set), 8 MiB each at 26 atoms.
+#: analysed step keeps at most two truth columns over all 2**n assignments
+#: (the narrator's fabula and the reader's world set), 8 MiB each at 26
+#: atoms; a step whose channel changed nothing shares the narrator's column.
 #: Nothing lists a set's worlds to sample it. Raising the ceiling waits for
 #: measured time and peak memory at 24 atoms and above.
 ATOM_CEILING = 26

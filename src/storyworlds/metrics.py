@@ -20,6 +20,7 @@ from .errors import EmptyWorldSetError, MetricError
 from .filters import plausible_facts
 from .logic import (
     Atom,
+    ColumnTable,
     Formula,
     Implies,
     Not,
@@ -79,23 +80,67 @@ def relevance(q: Question, prior: WorldSet, truth: World | None = None) -> float
     agreeing with the antecedent's true answer and p' is the proportion
     agreeing with the consequent's true answer among those worlds. Positive
     values mean the antecedent genuinely informs the consequent; independence
-    yields exactly zero because both proportions coincide.
+    yields exactly zero because both proportions coincide. The counts are
+    those ``classify_satellites`` takes, over a grid of this one question.
+    """
+    values = _relevances(prior, *_question_grid((q,), truth))
+    if not values:
+        raise MetricError(
+            "empty conditional sub-population: no prior world matches the antecedent's answer"
+        )
+    return values[0]
+
+
+def _question_grid(
+    questions: Iterable[Question], truth: World | None = None
+) -> tuple[tuple, tuple, tuple[tuple[int, int], ...]]:
+    """Index questions by side: each distinct (antecedent, answer) and each
+    distinct (consequent, answer) once, in order of first use, plus every
+    question's pair of side indices in question order."""
+    antecedents: dict[tuple[Formula, bool], int] = {}
+    consequents: dict[tuple[Formula, bool], int] = {}
+    pairs = []
+    for q in questions:
+        a, b = q.resolve_answers(truth)
+        i = antecedents.setdefault((q.antecedent, a), len(antecedents))
+        j = consequents.setdefault((q.consequent, b), len(consequents))
+        pairs.append((i, j))
+    return tuple(antecedents), tuple(consequents), tuple(pairs)
+
+
+def _relevances(
+    prior: WorldSet,
+    antecedents: Sequence[tuple[Formula, bool]],
+    consequents: Sequence[tuple[Formula, bool]],
+    pairs: Sequence[tuple[int, int]],
+) -> list[float]:
+    """The relevance of each indexed question over ``prior``, in question
+    order, skipping questions whose antecedent answer no prior world holds.
+
+    Each side's column is built once; each antecedent's sub-population, its
+    count and its entropy are taken once for all the questions sharing it,
+    so a question costs one intersection count and one entropy.
     """
     total = len(prior)
     if total == 0:
         raise EmptyWorldSetError("relevance needs a non-empty prior")
-    a, b = q.resolve_answers(truth)
-    col_a = truth_column(q.antecedent, prior.table)
-    sub = prior.own_column & (col_a if a else ~col_a)
-    n_a = sub.bit_count()
-    if not n_a:
-        raise MetricError(
-            "empty conditional sub-population: no prior world matches the antecedent's answer"
-        )
-    col_b = truth_column(q.consequent, prior.table)
-    n_ab = (sub & (col_b if b else ~col_b)).bit_count()
+    members, table = prior.own_column, prior.table
+    subs = [members & _answer_column(f, a, table) for f, a in antecedents]
+    counts = [sub.bit_count() for sub in subs]
     # int / int is correctly rounded, so these equal float(Fraction(...)).
-    return binary_entropy(n_a / total) - binary_entropy(n_ab / n_a)
+    entropies = [binary_entropy(n_a / total) for n_a in counts]
+    cols = [_answer_column(f, b, table) for f, b in consequents]
+    return [
+        entropies[i] - binary_entropy((subs[i] & cols[j]).bit_count() / counts[i])
+        for i, j in pairs
+        if counts[i]
+    ]
+
+
+def _answer_column(f: Formula, answer: bool, table: ColumnTable) -> int:
+    """The column of the worlds where ``f`` takes ``answer``."""
+    col = truth_column(f, table)
+    return col if answer else ~col
 
 
 def _proportions(
@@ -316,6 +361,11 @@ def classify_satellites(
     world set at s as the prior, strictly exceeds ``epsilon``. Questions
     whose conditional sub-population is empty at s are skipped; a step with
     no evaluable question is not a satellite. Kernels need no satellites.
+
+    Each kernel's antecedent x consequent grid is indexed once; at each
+    prior, every literal's column is built once and every antecedent's
+    sub-population counted once, then each question counts its consequent
+    within it (the same counts ``relevance`` takes for one question).
     """
     links: list[SatelliteLink] = []
     kernel_steps = set(report.kernels)
@@ -323,16 +373,11 @@ def classify_satellites(
         questions = kernel_questions(states, k, max_questions=max_questions)
         if not questions:
             continue
+        grid = _question_grid(questions)
         for s in range(1, k):
             if s in kernel_steps:
                 continue
-            prior = states[s].worlds
-            values = []
-            for q in questions:
-                try:
-                    values.append(relevance(q, prior))
-                except MetricError:
-                    continue
+            values = _relevances(states[s].worlds, *grid)
             if not values:
                 continue
             mean = sum(values) / len(values)

@@ -30,6 +30,12 @@ def cards_timeline(cards_story_path):
 
 
 @pytest.fixture(scope="session")
+def twist_timeline():
+    """A churn-shaped story: 12 atoms, 18 steps, belief twists at 6 and 12."""
+    return parse_story((DATA / "twist.story").read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="session")
 def fabula_f1(cards_universe) -> Fabula:
     return Fabula(
         cards_universe,

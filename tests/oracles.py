@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from storyworlds.logic import Not, Universe, World, evaluate
-from storyworlds.metrics import binary_entropy
+from storyworlds.metrics import SatelliteLink, binary_entropy, kernel_questions
 
 
 def enumerate_models_bruteforce(props, universe: Universe) -> tuple[int, ...]:
@@ -76,6 +76,24 @@ def relevance_oracle(q, worlds, truth=None):
         return None
     p_a = truth_proportion_oracle(worlds, ind_a)
     return binary_entropy(p_a) - binary_entropy(truth_proportion_oracle(sub, ind_b))
+
+
+def satellites_oracle(states, report, epsilon, max_questions) -> tuple:
+    """Satellite links by one ``relevance_oracle`` call per (kernel question,
+    earlier non-kernel step), each prior listed world by world."""
+    links = []
+    kernels = set(report.kernels)
+    for k in report.kernels:
+        questions = kernel_questions(states, k, max_questions=max_questions)
+        for s in range(1, k):
+            if s in kernels or not questions:
+                continue
+            listed = tuple(states[s].worlds)
+            values = [relevance_oracle(q, listed) for q in questions]
+            values = [v for v in values if v is not None]
+            if values and sum(values) / len(values) > epsilon:
+                links.append(SatelliteLink(k, s, sum(values) / len(values), len(values)))
+    return tuple(sorted(links, key=lambda l: (l.kernel_step, l.satellite_step)))
 
 
 def pullback_oracle(truth_now: World, worlds) -> dict:

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from storyworlds.conveyance import (
     Channel,
+    _rewrite,
     accuracy_report,
     compress,
     evolve,
@@ -15,16 +17,19 @@ from storyworlds.conveyance import (
     transmit,
 )
 from storyworlds.errors import (
+    BoundExceededError,
     ChannelError,
     InconsistentFabulaError,
     InconsistentStepError,
     UnknownAtomError,
 )
 from storyworlds.logic import Not, Universe, World
-from storyworlds.story import Fabula, parse_story
+from storyworlds.story import Fabula, TransitionEdit, apply_transition, delta, parse_story
 from storyworlds.worlds import enumerate_models
 
 from helpers import random_universe
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestCompress:
@@ -262,3 +267,93 @@ class TestEvolve:
             lit = w.literals()[rng.randrange(u.atom_count)]
             state = reconstruct(transmit(compress(w), Channel.corrupt({lit})))
             assert accuracy_report(w, state).mismatched >= 1
+
+
+def fold_evolve(timeline, channel, bound=None):
+    """Reference reader series: every step's rewritten edit applied with
+    ``apply_transition``, whatever the channel did to it."""
+    states = []
+    reader = prev = Fabula(timeline.universe, ())
+    for t, fab in enumerate(timeline.steps):
+        edit = delta(prev, fab)
+        rewritten = TransitionEdit(
+            _rewrite(edit.additions, channel, None, ""),
+            _rewrite(edit.removals, channel, None, ""),
+        )
+        try:
+            reader = apply_transition(reader, rewritten, bound)
+        except InconsistentFabulaError as e:
+            raise InconsistentStepError(t, e.conflict) from e
+        states.append(reconstruct(reader, bound))
+        prev = fab
+    return states
+
+
+#: (story file, channel spec, first step whose edit the channel changes, or
+#: None when it changes none)
+EVOLVE_CASES = (
+    ("cards.story", "identity", None),
+    ("cards.story", "rename(wears->wears)", None),
+    ("cards.story", "drop(wears(ali,blue))", 1),
+    ("cards.story", "corrupt(plays(ali,jay))", 0),
+    ("reveal.story", "identity", None),
+    ("reveal.story", "rename(plays->plays)", None),
+    ("reveal.story", "drop(plays(jay,ali))", 3),
+    ("reveal.story", "corrupt(plays(ali,jay))", 1),
+    ("twist.story", "identity", None),
+    ("twist.story", "rename(trusts->trusts)", None),
+    ("twist.story", "drop(trusts(gus,ann))", 5),
+    ("twist.story", "corrupt(happy(hal))", 1),
+)
+
+
+class TestEvolveShortcut:
+    """``evolve`` hands the reader the narrator's own fabula while the channel
+    has changed nothing; every other step goes through ``apply_transition``."""
+
+    @pytest.mark.parametrize("story", ["cards.story", "reveal.story", "twist.story"])
+    def test_identity_reader_holds_the_narrators_fabulas(self, story):
+        timeline = parse_story((DATA / story).read_text(encoding="utf-8"))
+        states = evolve(timeline, Channel.identity())
+        assert all(s.fabula is f for s, f in zip(states, timeline.steps))
+        assert all(s.worlds.column is f.column for s, f in zip(states, timeline.steps))
+
+    @pytest.mark.parametrize(
+        "story, spec, first_changed",
+        EVOLVE_CASES,
+        ids=[f"{c[0]}-{c[1]}" for c in EVOLVE_CASES],
+    )
+    def test_matches_a_fold_through_apply_transition(self, story, spec, first_changed):
+        timeline = parse_story((DATA / story).read_text(encoding="utf-8"))
+        channel = parse_channel_spec(spec, timeline.universe)
+        states = evolve(timeline, channel)
+        reference = fold_evolve(timeline, channel)
+        assert len(states) == len(reference) == len(timeline.steps)
+        for state, ref in zip(states, reference):
+            assert state.fabula.propositions == ref.fabula.propositions
+            assert state.worlds.column == ref.worlds.column
+            assert state.beliefs == ref.beliefs
+        shared = [s.fabula is f for s, f in zip(states, timeline.steps)]
+        cut = len(shared) if first_changed is None else first_changed
+        assert shared == [t < cut for t in range(len(shared))]
+
+    def test_inconsistent_step_is_still_named(self, twist_timeline):
+        # negating the t=4 disjunction contradicts the literals t=5 asserts
+        spec = "corrupt(happy(ann) | trusts(gus,ann))"
+        channel = parse_channel_spec(spec, twist_timeline.universe)
+        for run in (evolve, fold_evolve):
+            with pytest.raises(InconsistentStepError) as exc:
+                run(twist_timeline, channel)
+            assert exc.value.step == 5
+
+    def test_add_remove_conflict_is_a_channel_error(self, twist_timeline):
+        # t=6 retracts trusts(ann,hal) and asserts its negation
+        channel = parse_channel_spec("corrupt(trusts(ann,hal))", twist_timeline.universe)
+        with pytest.raises(ChannelError, match="t=6"):
+            evolve(twist_timeline, channel)
+
+    @pytest.mark.parametrize("spec", ["identity", "drop(trusts(gus,ann))"])
+    def test_bound_below_the_atom_count_is_refused(self, twist_timeline, spec):
+        channel = parse_channel_spec(spec, twist_timeline.universe)
+        with pytest.raises(BoundExceededError):
+            evolve(twist_timeline, channel, bound=11)

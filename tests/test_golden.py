@@ -6,8 +6,13 @@ that enumerated world sets as sorted mask tuples and evaluated every world
 one by one; they pin the report through any change of representation. The
 eight ``cards-*.json`` files were rewritten once since, when reconciliation
 began to run on final world sets of more than ten worlds: only their
-``reconciliation`` block and one skip warning changed. To rewrite them after
-an intended report change::
+``reconciliation`` block and one skip warning changed. The twelve
+``twist-*`` files pin satellite links and their ``mean_relevance`` floats:
+``twist.story`` is a churn-shaped story (12 atoms, 18 steps, kernels at 6
+and 12) whose first kernel poses a 12 x 6 question grid that the 64-question
+cap cuts in the middle of a row; they were written before satellite
+relevance counted each antecedent once per prior. To rewrite them after an
+intended report change::
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_all()"
 """
@@ -35,6 +40,9 @@ CHANNELS = (
     ("reveal.story", "drop", "drop(plays(jay,ali); !wears(jay,red))"),
     ("reveal.story", "corrupt", "corrupt(plays(ali,jay))"),
     ("reveal.story", "rename", "rename(plays->plays)"),
+    ("twist.story", "identity", "identity"),
+    ("twist.story", "drop", "drop(trusts(gus,ann))"),
+    ("twist.story", "corrupt", "corrupt(happy(hal))"),
 )
 SEEDS = (0, 7)
 FORMATS = ("json", "csv")

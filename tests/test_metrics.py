@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storyworlds.conveyance import Channel, evolve
 from storyworlds.errors import EmptyWorldSetError, MetricError
-from storyworlds.logic import FALSE, TRUE, And, Constant, Implies, Not, Or, World
+from storyworlds.logic import FALSE, TRUE, And, Constant, Implies, Not, Or, World, consistent
 from storyworlds.metrics import (
     Question,
     binary_entropy,
@@ -22,8 +25,11 @@ from storyworlds.metrics import (
     transitional_coherence,
     world_coherence,
 )
-from storyworlds.story import formula_to_str, parse_story
+from storyworlds.story import Fabula, Timeline, formula_to_str, parse_story
 from storyworlds.worlds import WorldSet, enumerate_models, sample_worlds
+
+from helpers import chain_universe
+from oracles import relevance_oracle, satellites_oracle
 
 REVEAL_STORY = """\
 sort person: jay, ali
@@ -422,3 +428,108 @@ def test_kernel_question_cap(reveal_states):
     assert kernel_questions(reveal_states, 3, max_questions=0) == ()
     with pytest.raises(ValueError):
         kernel_questions(reveal_states, 3, max_questions=-1)
+
+
+def _literal(atom, value: bool):
+    return atom if value else Not(atom)
+
+
+#: A step's edit to one atom: keep its value (most often), leave it
+#: undecided, or assert it true or false.
+_EDITS = ("keep", "keep", "keep", None, True, False)
+
+
+@st.composite
+def state_series(draw):
+    """Reader states of a random timeline over 2-5 atoms. Each step edits the
+    previous step's literals, so literals are retracted and flipped and
+    kernels occur between quieter steps; a step may also assert up to two
+    disjunctions that keep it satisfiable."""
+    n = draw(st.integers(2, 5))
+    u = chain_universe(n)
+    values = [None] * n
+    steps = []
+    for _ in range(draw(st.integers(3, 8))):
+        edits = draw(st.lists(st.sampled_from(_EDITS), min_size=n, max_size=n))
+        values = [v if e == "keep" else e for v, e in zip(values, edits)]
+        props = [_literal(a, v) for a, v in zip(u.atoms, values) if v is not None]
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            si, sj = draw(st.booleans()), draw(st.booleans())
+            disjunction = Or((_literal(u.atoms[i], si), _literal(u.atoms[j], sj)))
+            if consistent(props + [disjunction], u):
+                props.append(disjunction)
+        steps.append(Fabula(u, props))
+    return evolve(Timeline(u, tuple(steps)), Channel.identity())
+
+
+def _grid_caps(states, report) -> set[int]:
+    """Question caps of 0 and 1, one cutting each kernel's grid in the middle
+    of its second row, and one above each grid."""
+    caps = {0, 1}
+    for k in report.kernels:
+        rows = len(states[k - 1].beliefs)
+        width = len(states[k].beliefs - states[k - 1].beliefs)
+        if rows >= 2 and width >= 2:
+            caps.add(width + 1)
+        caps.add(rows * width + 3)
+    return caps
+
+
+def _check_against_oracle(states, report, caps):
+    for cap in sorted(caps):
+        assert classify_satellites(states, report, 0.0, cap).satellites == (
+            satellites_oracle(states, report, 0.0, cap)
+        )
+        # below every mean, each step with an evaluable question is a link
+        links = classify_satellites(states, report, -math.inf, cap).satellites
+        assert links == satellites_oracle(states, report, -math.inf, cap)
+        for link in links:
+            # epsilon at a link's exact mean drops that link (strictly above)
+            eps = link.mean_relevance
+            got = classify_satellites(states, report, eps, cap).satellites
+            assert got == satellites_oracle(states, report, eps, cap)
+            assert link not in got
+
+
+class TestSatellitesAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(state_series(), st.sampled_from((Fraction(0), Fraction(1, 3), Fraction(1, 2))))
+    def test_random_series(self, states, theta):
+        report = detect_kernels(states, theta)
+        _check_against_oracle(states, report, _grid_caps(states, report))
+
+    def test_twist_story(self, twist_timeline):
+        states = evolve(twist_timeline, Channel.identity())
+        report = detect_kernels(states)
+        assert report.kernels == (6, 12)
+        # kernel 6 poses a 12 x 6 grid: a cap of 64 cuts its eleventh row
+        assert len(states[5].beliefs) == 12
+        assert len(states[6].beliefs - states[5].beliefs) == 6
+        caps = _grid_caps(states, report) | {64}
+        _check_against_oracle(states, report, caps)
+        links = classify_satellites(states, report).satellites
+        assert links
+        # some priors have antecedents that select no world
+        assert any(
+            l.question_count < len(kernel_questions(states, l.kernel_step)) for l in links
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(state_series(), st.data())
+    def test_single_questions(self, states, data):
+        u = states[0].worlds.universe
+        literal = st.builds(_literal, st.sampled_from(u.atoms), st.booleans())
+        for state in states:
+            listed = tuple(state.worlds)
+            for _ in range(3):
+                answers = (data.draw(st.booleans()), data.draw(st.booleans()))
+                q = Question(data.draw(literal), data.draw(literal), answers)
+                expected = relevance_oracle(q, listed)
+                if expected is None:
+                    with pytest.raises(MetricError):
+                        relevance(q, state.worlds)
+                else:
+                    assert relevance(q, state.worlds) == expected
+        with pytest.raises(EmptyWorldSetError):
+            relevance(q, WorldSet(u, ()))
