@@ -224,12 +224,16 @@ def plausible_facts(
     col, table = worlds.own_column, worlds.table
     if candidates is not None:
         return frozenset(c for c in candidates if col & ~truth_column(c, table) == 0)
+    # A literal true in every member is true in the lowest one, so each atom
+    # is tested only on the side that member holds.
+    low = next(worlds.select((0,)))
     facts = []
     for i, a in enumerate(worlds.universe.atoms):
         atom_col = table.atom_column(i)
-        if col & ~atom_col == 0:
-            facts.append(a)
-        elif col & atom_col == 0:
+        if low >> i & 1:
+            if col & atom_col == col:
+                facts.append(a)
+        elif not col & atom_col:
             facts.append(Not(a))
     return frozenset(facts)
 

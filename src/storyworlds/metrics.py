@@ -5,6 +5,10 @@ are floats in bits. Coherence measures follow the proportion form: the world
 coherence of a question set over a sampled world set is the mean truth
 proportion of its implications, and transitional coherence is the same mean
 taken at an earlier time against questions pulled back through a kernel.
+Those proportions stay exact, but no per-question ``Fraction`` is built:
+each question's true count over the sample is an integer, coherence is one
+``Fraction`` of their sum, and each entropy divides a count by the sample
+size.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .conveyance import ReaderState
 from .errors import EmptyWorldSetError, MetricError
@@ -31,7 +35,7 @@ from .logic import (
     truth_column,
 )
 from .story import formula_to_str
-from .worlds import WorldSet, truth_proportion
+from .worlds import WorldSet
 
 
 def binary_entropy(p: Fraction | float | int) -> float:
@@ -143,27 +147,39 @@ def _answer_column(f: Formula, answer: bool, table: ColumnTable) -> int:
     return col if answer else ~col
 
 
-def _proportions(
-    sample: WorldSet, questions: Iterable[Question]
-) -> tuple[int, Iterator[Fraction]]:
-    """The question count and each question's truth proportion over the
-    sample, streamed in question order."""
+def _true_counts(sample: WorldSet, questions: Iterable[Question]) -> tuple[int, list[int]]:
+    """The sample size and each question's true count over the sample, in
+    question order: the members where its antecedent fails or its consequent
+    holds. Each distinct antecedent's outside column and each distinct
+    consequent's inside column is built once, so a question costs one
+    popcount."""
     qs = tuple(questions)
     if not qs:
         raise MetricError("coherence needs a non-empty question set")
-    return len(qs), (truth_proportion(sample, q.materialize()) for q in qs)
+    total = len(sample)
+    if total == 0:
+        raise EmptyWorldSetError("coherence over an empty world set")
+    members, table = sample.own_column, sample.table
+    outside = {
+        a: members & ~truth_column(a, table) for a in dict.fromkeys(q.antecedent for q in qs)
+    }
+    inside = {
+        b: members & truth_column(b, table) for b in dict.fromkeys(q.consequent for q in qs)
+    }
+    return total, [(outside[q.antecedent] | inside[q.consequent]).bit_count() for q in qs]
 
 
 def world_coherence(sample: WorldSet, questions: Iterable[Question]) -> Fraction:
     """Mean truth proportion of the questions' implications over the sample."""
-    count, proportions = _proportions(sample, questions)
-    return sum(proportions, Fraction(0)) / count
+    total, counts = _true_counts(sample, questions)
+    return Fraction(sum(counts), total * len(counts))
 
 
 def mean_question_entropy(sample: WorldSet, questions: Iterable[Question]) -> float:
     """Companion value: mean binary entropy of the per-question proportions."""
-    count, proportions = _proportions(sample, questions)
-    return sum(map(binary_entropy, proportions)) / count
+    total, counts = _true_counts(sample, questions)
+    # int / int is correctly rounded, so each equals float(Fraction(c, total)).
+    return sum(binary_entropy(c / total) for c in counts) / len(counts)
 
 
 def _question_pairs(

@@ -229,9 +229,10 @@ class Fabula:
         propositions: Iterable[Formula] = (),
         bound: int | None = None,
     ):
-        for f in propositions:
+        given = tuple(propositions)
+        for f in given:
             universe.check_formula(f)
-        ordered = sorted(set(propositions), key=formula_to_str)
+        ordered = sorted(set(given), key=formula_to_str)
         column = models_column(ordered, universe, bound)
         if not column:
             conflict = _minimal_conflict(ordered, universe, bound)

@@ -37,6 +37,15 @@ def truth_proportion_oracle(worlds, q) -> Fraction:
     return Fraction(sum(1 for w in worlds if evaluate(w, q)), len(worlds))
 
 
+def coherence_oracle(questions, worlds) -> tuple[Fraction, float]:
+    """World coherence and mean question entropy: each question's implication
+    evaluated world by world, then the exact mean of the proportions and the
+    float mean of their entropies, in question order."""
+    worlds = tuple(worlds)
+    props = [truth_proportion_oracle(worlds, q.materialize()) for q in questions]
+    return sum(props, Fraction(0)) / len(props), sum(map(binary_entropy, props)) / len(props)
+
+
 def agreement_oracle(worlds, rho) -> bool:
     """True iff every world satisfies every formula of ``rho``."""
     return all(evaluate(w, r) for w in worlds for r in rho)

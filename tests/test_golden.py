@@ -11,8 +11,14 @@ began to run on final world sets of more than ten worlds: only their
 ``twist.story`` is a churn-shaped story (12 atoms, 18 steps, kernels at 6
 and 12) whose first kernel poses a 12 x 6 question grid that the 64-question
 cap cuts in the middle of a row; they were written before satellite
-relevance counted each antecedent once per prior. To rewrite them after an
-intended report change::
+relevance counted each antecedent once per prior. The four
+``*-questions-*`` pairs ask the questions of ``cards.questions.json`` and
+``twist.questions.json`` (compound formulas, sides shared between
+questions, answers given and absent) through ``--config``, and
+``bound24-identity-s0.json`` analyses a 24-atom story at ``--bound 24``
+(step 0 holds 2**23 worlds); all nine were written by the implementation
+that built one ``Implies`` column and one ``Fraction`` per question, twice
+per step. To rewrite them after an intended report change::
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_all()"
 """
@@ -47,23 +53,27 @@ CHANNELS = (
 SEEDS = (0, 7)
 FORMATS = ("json", "csv")
 
+#: (story file, name used in the golden file name, analyze flags, seed, format)
 CONFIGS = [
-    (story, name, spec, seed, fmt)
+    (story, name, ("--channel", spec), seed, fmt)
     for (story, name, spec), seed, fmt in itertools.product(CHANNELS, SEEDS, FORMATS)
-]
+] + [
+    (story, "questions", ("--config", f"{Path(story).stem}.questions.json"), seed, fmt)
+    for story, seed, fmt in itertools.product(("cards.story", "twist.story"), SEEDS, FORMATS)
+] + [("bound24.story", "identity", ("--bound", "24"), 0, "json")]
 
 
 def golden_path(story: str, name: str, seed: int, fmt: str) -> Path:
     return GOLDEN / f"{Path(story).stem}-{name}-s{seed}.{fmt}"
 
 
-def render(story: str, spec: str, seed: int, fmt: str, out: Path) -> bytes:
+def render(story: str, flags: tuple[str, ...], seed: int, fmt: str, out: Path) -> bytes:
     """Run ``storyworlds analyze`` from the data directory, so the story path
     recorded in the report does not depend on the checkout's location."""
     cwd = os.getcwd()
     os.chdir(DATA)
     try:
-        argv = ["analyze", story, "--channel", spec, "--seed", str(seed)]
+        argv = ["analyze", story, *flags, "--seed", str(seed)]
         code = main(argv + ["--format", fmt, "--out", str(out)])
     finally:
         os.chdir(cwd)
@@ -73,18 +83,18 @@ def render(story: str, spec: str, seed: int, fmt: str, out: Path) -> bytes:
 
 def write_all() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for story, name, spec, seed, fmt in CONFIGS:
+    for story, name, flags, seed, fmt in CONFIGS:
         path = golden_path(story, name, seed, fmt)
-        render(story, spec, seed, fmt, path.resolve())
+        render(story, flags, seed, fmt, path.resolve())
 
 
 @pytest.mark.parametrize(
-    "story, name, spec, seed, fmt",
+    "story, name, flags, seed, fmt",
     CONFIGS,
     ids=[f"{Path(c[0]).stem}-{c[1]}-s{c[3]}-{c[4]}" for c in CONFIGS],
 )
-def test_report_matches_golden(tmp_path, story, name, spec, seed, fmt):
-    got = render(story, spec, seed, fmt, tmp_path / f"report.{fmt}")
+def test_report_matches_golden(tmp_path, story, name, flags, seed, fmt):
+    got = render(story, flags, seed, fmt, tmp_path / f"report.{fmt}")
     assert got == golden_path(story, name, seed, fmt).read_bytes()
 
 

@@ -28,8 +28,8 @@ from storyworlds.metrics import (
 from storyworlds.story import Fabula, Timeline, formula_to_str, parse_story
 from storyworlds.worlds import WorldSet, enumerate_models, sample_worlds
 
-from helpers import chain_universe
-from oracles import relevance_oracle, satellites_oracle
+from helpers import chain_universe, random_formula
+from oracles import coherence_oracle, relevance_oracle, satellites_oracle
 
 REVEAL_STORY = """\
 sort person: jay, ali
@@ -533,3 +533,42 @@ class TestSatellitesAgainstOracle:
                     assert relevance(q, state.worlds) == expected
         with pytest.raises(EmptyWorldSetError):
             relevance(q, WorldSet(u, ()))
+
+
+@st.composite
+def question_cases(draw):
+    """A non-empty world set over 1-6 atoms and 1-12 questions whose sides
+    are drawn from a small pool of compound formulas and constants, so
+    antecedents and consequents repeat; answers are given or absent."""
+    n = draw(st.integers(1, 6))
+    u = chain_universe(n)
+    column = draw(st.integers(1, (1 << (1 << n)) - 1))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pool = [random_formula(rng, u, 3) for _ in range(draw(st.integers(1, 4)))]
+    side = st.sampled_from(pool + [TRUE, FALSE])
+    answers = st.none() | st.tuples(st.booleans(), st.booleans())
+    questions = draw(st.lists(st.builds(Question, side, side, answers), min_size=1, max_size=12))
+    return WorldSet.from_column(u, column), questions
+
+
+class TestCoherenceAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(question_cases(), st.integers(1, 20), st.integers(0, 10**6))
+    def test_random_questions(self, case, k, seed):
+        full, questions = case
+        # universe space, the whole set in rank space, and a rank-space sample
+        for ws in (full, full.ranked(), sample_worlds(full, k, seed)):
+            coherence, entropy = coherence_oracle(questions, ws)
+            assert world_coherence(ws, questions) == coherence
+            assert world_coherence(ws, iter(questions)) == coherence
+            assert mean_question_entropy(ws, questions) == entropy
+
+    def test_errors_in_order(self, cards_universe):
+        q = Question(cards_universe.atoms[0], Not(cards_universe.atoms[1]))
+        for empty in (WorldSet(cards_universe, []), WorldSet.from_column(cards_universe, 0)):
+            for metric in (world_coherence, mean_question_entropy):
+                # an empty question set is reported before an empty sample
+                with pytest.raises(MetricError):
+                    metric(empty, [])
+                with pytest.raises(EmptyWorldSetError):
+                    metric(empty, [q])

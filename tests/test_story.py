@@ -197,6 +197,13 @@ class TestFabula:
         fab = Fabula(cards_universe, [a, b, a])
         assert [formula_to_str(f) for f in fab] == ["plays(ali,jay)", "wears(jay,blue)"]
 
+    def test_one_shot_iterable_keeps_every_proposition(self, cards_universe):
+        literals = cards_universe.atoms[:3]
+        fab = Fabula(cards_universe, (a for a in literals))
+        assert fab == Fabula(cards_universe, literals)
+        assert len(fab) == 3
+        assert fab.column == Fabula(cards_universe, literals).column
+
     def test_greedy_minimal_conflict(self, cards_universe):
         a = cards_universe.atom("wears", "jay", "blue")
         b = cards_universe.atom("plays", "ali", "jay")
