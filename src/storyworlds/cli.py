@@ -14,13 +14,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import (
-    BoundExceededError,
-    ChannelError,
-    InconsistentStepError,
-    ParseError,
-    StoryworldsError,
-)
+from .errors import InconsistentStepError, StoryworldsError
 from .logic import Not
 from .report import RunConfig, merge_config, read_config_file, render_report, run_analysis
 from .story import formula_to_str, parse_story
@@ -56,7 +50,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_PARSE
-    models = enumerate_models(timeline.steps[args.t], bound=args.bound)
+    models = enumerate_models(timeline.steps[args.t])
     print(len(models))
     if args.list:
         # Each world is printed as the select streams it; nothing is listed.
@@ -119,7 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        # argparse has printed its message; usage errors share EXIT_PARSE
+        # (its own code 2 would read as an inconsistent story).
+        return EXIT_OK if e.code == 0 else EXIT_PARSE
     try:
         return args.fn(args)
     except OSError as e:
@@ -128,10 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     except InconsistentStepError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INCONSISTENT
-    except (ParseError, BoundExceededError, ChannelError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_PARSE
-    except StoryworldsError as e:
+    except (StoryworldsError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -159,25 +159,20 @@ def _rewrite(
     stage: str,
 ) -> frozenset:
     present = frozenset(formulas)
+    if warnings is not None:
+        for target in sorted(channel.formulas - present, key=formula_to_str):
+            warnings.append(
+                f"{channel.kind.value} target {formula_to_str(target)} absent from {stage}"
+            )
     if channel.kind is ChannelKind.IDENTITY:
         return present
     if channel.kind is ChannelKind.DROP:
-        for target in sorted(channel.formulas - present, key=formula_to_str):
-            if warnings is not None:
-                warnings.append(
-                    f"drop target {formula_to_str(target)} absent from {stage}"
-                )
         return present - channel.formulas
     if channel.kind is ChannelKind.RENAME:
         table = channel.rename_map()
         fn = lambda a: Atom(table.get(a.relation, a.relation), a.args)
         return frozenset(map_atoms(f, fn) for f in present)
     if channel.kind is ChannelKind.CORRUPT:
-        for target in sorted(channel.formulas - present, key=formula_to_str):
-            if warnings is not None:
-                warnings.append(
-                    f"corrupt target {formula_to_str(target)} absent from {stage}"
-                )
         return frozenset(
             negate(f) if f in channel.formulas else f for f in present
         )
@@ -215,10 +210,10 @@ class ReaderState:
         return WeakFilter.principal(self.worlds, (1 << len(self.worlds)) - 1)
 
 
-def reconstruct(fabula: Fabula, bound: int | None = None) -> ReaderState:
+def reconstruct(fabula: Fabula) -> ReaderState:
     """Rebuild a reader state from a received fabula: every model of the
     fabula, and the literals all of them decide."""
-    worlds = enumerate_models(fabula, bound=bound)
+    worlds = enumerate_models(fabula)
     return ReaderState(fabula, worlds, plausible_facts(worlds))
 
 
@@ -277,7 +272,6 @@ def accuracy_report(
 def evolve(
     timeline: Timeline,
     channel: Channel,
-    bound: int | None = None,
     warnings: list[str] | None = None,
 ) -> tuple[ReaderState, ...]:
     """Run the timeline through the channel, one reader state per step.
@@ -304,13 +298,11 @@ def evolve(
             reader_fab = fab
         else:
             try:
-                reader_fab = apply_transition(
-                    reader_fab, TransitionEdit(additions, removals), bound
-                )
+                reader_fab = apply_transition(reader_fab, TransitionEdit(additions, removals))
             except InconsistentFabulaError as e:
                 raise InconsistentStepError(t, e.conflict) from e
             except ValueError as e:
                 raise ChannelError(f"channel output conflicts at step t={t}: {e}") from e
-        states.append(reconstruct(reader_fab, bound))
+        states.append(reconstruct(reader_fab))
         prev = fab
     return tuple(states)

@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
 from .errors import BoundExceededError, UniverseError, UnknownAtomError
 
-#: Default cap on ground-atom count for exhaustive operations. Beyond it,
+#: Default cap on ground-atom count for exhaustive operations, taken by a
+#: ``Universe`` built without a bound. Beyond its universe's bound,
 #: enumeration refuses (BoundExceededError) rather than sampling silently.
 DEFAULT_ATOM_BOUND = 24
 
@@ -105,15 +106,23 @@ class Universe:
     sequence of ``(name, argument_sorts)`` pairs. Grounding is canonical:
     atoms are sorted lexicographically by relation name then argument tuple,
     which fixes each atom's index for the life of the universe.
+
+    ``bound`` is the largest atom count that exhaustive operations over the
+    universe accept (``DEFAULT_ATOM_BOUND`` when None; ``check_bound`` caps
+    it at ``ATOM_CEILING``). It is decided once, here, and is not part of
+    the universe's identity: universes with the same vocabulary are equal
+    whatever their bounds.
     """
 
-    __slots__ = ("_sorts", "_relations", "_atoms", "_index", "_columns", "_hash")
+    __slots__ = ("_sorts", "_relations", "_atoms", "_index", "_columns", "_hash", "bound")
 
     def __init__(
         self,
         sorts: Mapping[str, Sequence[str]],
         relations: Sequence[tuple[str, Sequence[str]]],
+        bound: int | None = None,
     ):
+        self.bound = DEFAULT_ATOM_BOUND if bound is None else bound
         self._sorts: dict[str, tuple[str, ...]] = {}
         for name, constants in sorts.items():
             constants = tuple(constants)
@@ -367,24 +376,23 @@ def truth_column(f: Formula, table: ColumnTable) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def check_bound(universe: Universe, bound: int | None = None) -> None:
-    """Refuse exhaustive work over universes larger than ``bound`` atoms, and
-    over universes beyond ``ATOM_CEILING`` whatever the bound."""
-    limit = min(DEFAULT_ATOM_BOUND if bound is None else bound, ATOM_CEILING)
+def check_bound(universe: Universe) -> None:
+    """Refuse exhaustive work over a universe with more atoms than its
+    ``bound``, and over universes beyond ``ATOM_CEILING`` whatever the bound."""
+    limit = min(universe.bound, ATOM_CEILING)
     if universe.atom_count > limit:
         raise BoundExceededError(universe.atom_count, limit)
 
 
-def models_column(
-    props: Iterable[Formula], universe: Universe, bound: int | None = None
-) -> int:
+def models_column(props: Iterable[Formula], universe: Universe) -> int:
     """Truth column of the conjunction of ``props``: bit ``m`` is set iff
     assignment mask ``m`` satisfies every formula.
 
     Decided by exhaustive enumeration over all assignments (as bitwise
-    column intersection), so the universe must fit the configured bound.
+    column intersection), so the universe must fit its bound; the bound is
+    checked before any column is built.
     """
-    check_bound(universe, bound)
+    check_bound(universe)
     col = universe.full_column()
     for f in props:
         if not col:
@@ -393,18 +401,11 @@ def models_column(
     return col
 
 
-def consistent(
-    props: Iterable[Formula], universe: Universe, bound: int | None = None
-) -> bool:
+def consistent(props: Iterable[Formula], universe: Universe) -> bool:
     """True iff at least one world satisfies every formula in ``props``."""
-    return models_column(props, universe, bound) != 0
+    return models_column(props, universe) != 0
 
 
-def entails(
-    props: Iterable[Formula],
-    q: Formula,
-    universe: Universe,
-    bound: int | None = None,
-) -> bool:
+def entails(props: Iterable[Formula], q: Formula, universe: Universe) -> bool:
     """True iff every world satisfying ``props`` also satisfies ``q``."""
-    return models_column(props, universe, bound) & ~truth_column(q, universe) == 0
+    return models_column(props, universe) & ~truth_column(q, universe) == 0

@@ -38,6 +38,16 @@ from .story import formula_to_str
 from .worlds import WorldSet
 
 
+def _mean(values: Sequence[float]) -> float:
+    """Mean of floats added left to right. Builtin ``sum`` of floats is
+    compensated from Python 3.12 on, which would change report bytes by
+    version; this order matches ``sum`` on 3.10 and 3.11."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def binary_entropy(p: Fraction | float | int) -> float:
     """Binary entropy of ``p`` in bits, with the 0*log0 = 0 convention."""
     if not 0 <= p <= 1:
@@ -179,7 +189,7 @@ def mean_question_entropy(sample: WorldSet, questions: Iterable[Question]) -> fl
     """Companion value: mean binary entropy of the per-question proportions."""
     total, counts = _true_counts(sample, questions)
     # int / int is correctly rounded, so each equals float(Fraction(c, total)).
-    return sum(binary_entropy(c / total) for c in counts) / len(counts)
+    return _mean([binary_entropy(c / total) for c in counts])
 
 
 def _question_pairs(
@@ -245,16 +255,14 @@ class BooleanLattice:
         return frozenset(self.edges - redundant)
 
 
-def boolean_lattice(
-    formulas: Iterable[Formula], universe: Universe, bound: int | None = None
-) -> BooleanLattice:
+def boolean_lattice(formulas: Iterable[Formula], universe: Universe) -> BooleanLattice:
     """Group formulas by logical equivalence and wire entailment edges.
 
     Equivalence and entailment are decided by exhaustive truth tables, so the
-    universe must fit the enumeration bound. Collapsing equivalent formulas
+    universe must fit its enumeration bound. Collapsing equivalent formulas
     into one vertex keeps the graph acyclic.
     """
-    check_bound(universe, bound)
+    check_bound(universe)
     by_column: dict[int, list[Formula]] = {}
     for f in formulas:
         by_column.setdefault(truth_column(f, universe), []).append(f)
@@ -396,7 +404,7 @@ def classify_satellites(
             values = _relevances(states[s].worlds, *grid)
             if not values:
                 continue
-            mean = sum(values) / len(values)
+            mean = _mean(values)
             if mean > epsilon:
                 links.append(SatelliteLink(k, s, mean, len(values)))
     links.sort(key=lambda l: (l.kernel_step, l.satellite_step))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
@@ -37,7 +38,7 @@ from .metrics import (
     world_coherence,
 )
 from .story import Timeline, delta, formula_to_str, parse_formula, parse_story
-from .worlds import agreement_check, enumerate_models, intersect, sample_worlds
+from .worlds import agreement_check, intersect, sample_worlds
 
 CSV_COLUMNS = (
     "step",
@@ -132,6 +133,9 @@ def _config_value(key: str, value: Any) -> Any:
 
 def parse_ratio(value: Any) -> Fraction:
     """Parse a threshold: a number, a decimal string, or a 'p/q' string."""
+    if isinstance(value, str) and re.search(r"[eE][-+]?0*[1-9]\d{3}", value):
+        # Fraction("1e99999999") would build 10**99999999 before any range check
+        raise ValueError(f"'{value}' has a decimal exponent of 1000 or more")
     if isinstance(value, str) and "/" in value:
         num, den = (int(part) for part in value.split("/", 1))
         if den == 0:
@@ -147,7 +151,7 @@ def rational(fr: Fraction) -> dict[str, Any]:
     return {"num": fr.numerator, "den": fr.denominator, "value": float(fr)}
 
 
-def resolve_truth_world(spec: str, timeline: Timeline, bound: int) -> World:
+def resolve_truth_world(spec: str, timeline: Timeline) -> World:
     """Pick the designated ground-truth world.
 
     ``first-canonical`` takes the lowest-mask model of the final fabula.
@@ -157,7 +161,7 @@ def resolve_truth_world(spec: str, timeline: Timeline, bound: int) -> World:
     """
     universe = timeline.universe
     if spec.strip() == "first-canonical":
-        col = enumerate_models(timeline.steps[-1], bound=bound).column
+        col = timeline.steps[-1].column
         return World(universe, (col & -col).bit_length() - 1)
     assignment: dict[int, bool] = {}
     for part in spec.split(";"):
@@ -220,8 +224,8 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
     channel = parse_channel_spec(config.channel, universe)
     warnings: list[str] = []
 
-    states = evolve(timeline, channel, bound=config.bound, warnings=warnings)
-    truth = resolve_truth_world(config.truth, timeline, config.bound)
+    states = evolve(timeline, channel, warnings=warnings)
+    truth = resolve_truth_world(config.truth, timeline)
 
     config_questions = _config_questions(config.questions, universe)
 
@@ -279,9 +283,7 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
     narrator_vocab = (
         (lambda a: a.relation not in rename_targets) if rename_targets else None
     )
-    reader_rt = reconstruct(
-        transmit(compress(truth, narrator_vocab), channel, warnings), config.bound
-    )
+    reader_rt = reconstruct(transmit(compress(truth, narrator_vocab), channel, warnings))
     correspondence = channel.rename_map() or None
     conv = accuracy_report(truth, reader_rt, correspondence)
 

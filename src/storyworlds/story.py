@@ -223,19 +223,14 @@ class Fabula:
 
     __slots__ = ("universe", "propositions", "column", "_set")
 
-    def __init__(
-        self,
-        universe: Universe,
-        propositions: Iterable[Formula] = (),
-        bound: int | None = None,
-    ):
+    def __init__(self, universe: Universe, propositions: Iterable[Formula] = ()):
         given = tuple(propositions)
         for f in given:
             universe.check_formula(f)
         ordered = sorted(set(given), key=formula_to_str)
-        column = models_column(ordered, universe, bound)
+        column = models_column(ordered, universe)
         if not column:
-            conflict = _minimal_conflict(ordered, universe, bound)
+            conflict = _minimal_conflict(ordered, universe)
             raise InconsistentFabulaError(
                 conflict,
                 "inconsistent fabula; conflicting subset: "
@@ -273,13 +268,11 @@ class Fabula:
         return f"Fabula({{{inner}}})"
 
 
-def _minimal_conflict(
-    props: list, universe: Universe, bound: int | None
-) -> tuple:
+def _minimal_conflict(props: list, universe: Universe) -> tuple:
     core = list(props)
     for f in list(core):
         trial = [g for g in core if g is not f]
-        if not consistent(trial, universe, bound):
+        if not consistent(trial, universe):
             core = trial
     return tuple(core)
 
@@ -310,16 +303,14 @@ def delta(prev: Fabula, next_: Fabula) -> TransitionEdit:
     )
 
 
-def apply_transition(
-    fabula: Fabula, edit: TransitionEdit, bound: int | None = None
-) -> Fabula:
+def apply_transition(fabula: Fabula, edit: TransitionEdit) -> Fabula:
     """Apply ``edit`` to ``fabula``: remove, then add, then re-canonicalize.
 
     Raises InconsistentFabulaError when the result has no satisfying world.
     Removing an absent formula is a no-op.
     """
     props = (fabula.as_set() - edit.removals) | edit.additions
-    return Fabula(fabula.universe, props, bound)
+    return Fabula(fabula.universe, props)
 
 
 @dataclass(frozen=True)
@@ -351,7 +342,9 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
     Diagnostics carry line and column. Raises ParseError for syntax and
     naming problems (including an empty timeline and add/remove conflicts)
     and InconsistentStepError when a step's accumulated fabula is
-    unsatisfiable.
+    unsatisfiable. ``bound`` becomes the universe's enumeration bound
+    (``DEFAULT_ATOM_BOUND`` when None), which every later exhaustive
+    operation on the timeline reads; a universe over it is refused here.
     """
     text = source.read() if hasattr(source, "read") else source
     sorts: dict[str, tuple[str, ...]] = {}
@@ -411,7 +404,7 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
         if m:
             if universe is None:
                 try:
-                    universe = Universe(sorts, relations)
+                    universe = Universe(sorts, relations, bound)
                 except UniverseError as e:
                     raise ParseError(str(e), line_no, indent + 1) from None
             k = int(m.group(1))
@@ -440,7 +433,7 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
 
     assert universe is not None
     steps: list[Fabula] = []
-    fab = Fabula(universe, (), bound=bound)
+    fab = Fabula(universe, ())
     for k, block_line, entries in blocks:
         additions = {f for sign, f, _ in entries if sign == "+"}
         removals = {f for sign, f, _ in entries if sign == "-"}
@@ -449,7 +442,7 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
             first = min(formula_to_str(f) for f in overlap)
             raise ParseError(f"add/remove conflict on '{first}'", block_line, 1)
         try:
-            fab = apply_transition(fab, TransitionEdit(additions, removals), bound)
+            fab = apply_transition(fab, TransitionEdit(additions, removals))
         except InconsistentFabulaError as e:
             raise InconsistentStepError(k, e.conflict, block_line) from e
         steps.append(fab)

@@ -27,7 +27,6 @@ from .logic import (
     Formula,
     Universe,
     World,
-    check_bound,
     models_column,
     truth_column,
 )
@@ -205,20 +204,18 @@ class WorldSet:
 def enumerate_models(
     fabula: Fabula | Iterable[Formula],
     universe: Universe | None = None,
-    bound: int | None = None,
 ) -> WorldSet:
     """All worlds satisfying the fabula, in canonical (mask-ascending) order.
 
-    Accepts a Fabula (universe and model column taken from it) or a plain
-    formula collection with an explicit universe. Refuses universes beyond
-    the enumeration bound.
+    Accepts a Fabula (universe and model column taken from it; the column
+    was built under its universe's bound) or a plain formula collection with
+    an explicit universe, which is refused when it exceeds its bound.
     """
     if isinstance(fabula, Fabula):
-        check_bound(fabula.universe, bound)
         return WorldSet.from_column(fabula.universe, fabula.column)
     if universe is None:
         raise ValueError("universe required when not passing a Fabula")
-    return WorldSet.from_column(universe, models_column(fabula, universe, bound))
+    return WorldSet.from_column(universe, models_column(fabula, universe))
 
 
 def intersect(a: WorldSet, b: WorldSet) -> WorldSet:

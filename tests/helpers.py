@@ -8,11 +8,23 @@ from storyworlds.logic import And, Formula, Implies, Not, Or, Universe, World, e
 from storyworlds.story import Fabula, Timeline, TransitionEdit, apply_transition
 
 
-def chain_universe(n_atoms: int) -> Universe:
-    """A universe with exactly ``n_atoms`` ground atoms (one unary relation)."""
+def chain_universe(n_atoms: int, bound: int | None = None) -> Universe:
+    """A universe with exactly ``n_atoms`` ground atoms (one unary relation)
+    and enumeration bound ``bound``."""
     return Universe(
         {"item": tuple(f"c{i}" for i in range(n_atoms))},
         [("marked", ("item",))],
+        bound,
+    )
+
+
+def chain_story(n_atoms: int) -> str:
+    """Story text over ``chain_universe(n_atoms)``'s vocabulary: two literals
+    at t=0 and a third at t=1, so step 0 holds ``2**(n_atoms - 2)`` worlds."""
+    constants = ", ".join(f"c{i}" for i in range(n_atoms))
+    return (
+        f"sort item: {constants}\nrel marked(item)\n\n"
+        "t=0:\n+ marked(c0)\n+ !marked(c1)\n\nt=1:\n+ marked(c2)\n"
     )
 
 

@@ -15,6 +15,16 @@ from storyworlds.logic import Not, Universe, World, evaluate
 from storyworlds.metrics import SatelliteLink, binary_entropy, kernel_questions
 
 
+def float_mean(values) -> float:
+    """Mean of floats added left to right, as the library adds them (builtin
+    ``sum`` of floats is compensated from Python 3.12 on)."""
+    values = list(values)
+    total = 0.0
+    for v in values:
+        total += v
+    return total / len(values)
+
+
 def enumerate_models_bruteforce(props, universe: Universe) -> tuple[int, ...]:
     """All satisfying assignment masks, by looping over every assignment."""
     props = tuple(props)
@@ -40,10 +50,10 @@ def truth_proportion_oracle(worlds, q) -> Fraction:
 def coherence_oracle(questions, worlds) -> tuple[Fraction, float]:
     """World coherence and mean question entropy: each question's implication
     evaluated world by world, then the exact mean of the proportions and the
-    float mean of their entropies, in question order."""
+    float mean of their entropies, added left to right in question order."""
     worlds = tuple(worlds)
     props = [truth_proportion_oracle(worlds, q.materialize()) for q in questions]
-    return sum(props, Fraction(0)) / len(props), sum(map(binary_entropy, props)) / len(props)
+    return sum(props, Fraction(0)) / len(props), float_mean(map(binary_entropy, props))
 
 
 def agreement_oracle(worlds, rho) -> bool:
@@ -100,8 +110,8 @@ def satellites_oracle(states, report, epsilon, max_questions) -> tuple:
             listed = tuple(states[s].worlds)
             values = [relevance_oracle(q, listed) for q in questions]
             values = [v for v in values if v is not None]
-            if values and sum(values) / len(values) > epsilon:
-                links.append(SatelliteLink(k, s, sum(values) / len(values), len(values)))
+            if values and float_mean(values) > epsilon:
+                links.append(SatelliteLink(k, s, float_mean(values), len(values)))
     return tuple(sorted(links, key=lambda l: (l.kernel_step, l.satellite_step)))
 
 

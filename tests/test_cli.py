@@ -18,6 +18,8 @@ from storyworlds.report import (
 )
 from storyworlds.story import formula_to_str
 
+from helpers import chain_story
+
 BAD_STORY = "sort s: a\nrel p(s)\n\nt=0:\n+ p(a)\n+ !p(a)\n"
 SYNTAX_ERROR_STORY = "sort s a\n"
 
@@ -218,6 +220,7 @@ class TestAnalyze:
             {"out": 5},
             {"theta": [1]},
             {"theta": "1/0"},
+            {"theta": "1e99999999"},
             {"theta": True},
             {"epsilon": False},
             {"seed": 3.7},
@@ -338,6 +341,25 @@ class TestDeepNesting:
             assert main(["analyze", str(p), "--channel", channel, "--out", str(out)]) == 0
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "flags",
+        [["--sample-k", "abc"], ["--format", "xml"], ["--no-such-flag"]],
+        ids=["sample-k", "format", "unknown-flag"],
+    )
+    def test_bad_flag_exits_1(self, cards_story_path, capsys, flags):
+        assert main(["analyze", str(cards_story_path), *flags]) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_no_command_exits_1(self, capsys):
+        assert main([]) == 1
+        assert "usage:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
 class TestAtomCeiling:
     def test_bound_cannot_lift_the_ceiling(self, tmp_path, capsys, monkeypatch):
         def never(*_):
@@ -353,3 +375,19 @@ class TestAtomCeiling:
         assert main(["validate", str(p), "--bound", "40"]) == 1
         err = capsys.readouterr().err
         assert "bound of 26" in err and "ceiling" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bound", ["25", "26"])
+    def test_analyze_reaches_bounds_above_the_default(self, tmp_path, bound):
+        p = tmp_path / "chain25.story"
+        p.write_text(chain_story(25))
+        out = tmp_path / "report.json"
+        assert main(["analyze", str(p), "--bound", bound, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert [s["world_count"] for s in report["steps"]] == [2**23, 2**22]
+
+    def test_analyze_under_the_atom_count_is_refused(self, tmp_path, capsys):
+        p = tmp_path / "chain25.story"
+        p.write_text(chain_story(25))
+        assert main(["analyze", str(p), "--bound", "24"]) == 1
+        err = capsys.readouterr().err
+        assert "25 ground atoms, exceeding the enumeration bound of 24" in err

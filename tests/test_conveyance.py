@@ -24,7 +24,7 @@ from storyworlds.errors import (
     UnknownAtomError,
 )
 from storyworlds.logic import Not, Universe, World
-from storyworlds.story import Fabula, TransitionEdit, apply_transition, delta, parse_story
+from storyworlds.story import Fabula, Timeline, TransitionEdit, apply_transition, delta, parse_story
 from storyworlds.worlds import enumerate_models
 
 from helpers import random_universe
@@ -269,7 +269,7 @@ class TestEvolve:
             assert accuracy_report(w, state).mismatched >= 1
 
 
-def fold_evolve(timeline, channel, bound=None):
+def fold_evolve(timeline, channel):
     """Reference reader series: every step's rewritten edit applied with
     ``apply_transition``, whatever the channel did to it."""
     states = []
@@ -281,10 +281,10 @@ def fold_evolve(timeline, channel, bound=None):
             _rewrite(edit.removals, channel, None, ""),
         )
         try:
-            reader = apply_transition(reader, rewritten, bound)
+            reader = apply_transition(reader, rewritten)
         except InconsistentFabulaError as e:
             raise InconsistentStepError(t, e.conflict) from e
-        states.append(reconstruct(reader, bound))
+        states.append(reconstruct(reader))
         prev = fab
     return states
 
@@ -354,6 +354,10 @@ class TestEvolveShortcut:
 
     @pytest.mark.parametrize("spec", ["identity", "drop(trusts(gus,ann))"])
     def test_bound_below_the_atom_count_is_refused(self, twist_timeline, spec):
-        channel = parse_channel_spec(spec, twist_timeline.universe)
+        u = twist_timeline.universe
+        channel = parse_channel_spec(spec, u)
+        bounded = Timeline(
+            Universe(u.sorts, u.relations.items(), bound=11), twist_timeline.steps
+        )
         with pytest.raises(BoundExceededError):
-            evolve(twist_timeline, channel, bound=11)
+            evolve(bounded, channel)

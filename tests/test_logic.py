@@ -152,10 +152,9 @@ class TestConsistent:
         assert "25" in str(exc.value) and "24" in str(exc.value)
 
     def test_explicit_bound_overrides_default(self):
-        u = chain_universe(10)
         with pytest.raises(BoundExceededError):
-            consistent([], u, bound=8)
-        assert consistent([], u, bound=10)
+            consistent([], chain_universe(10, bound=8))
+        assert consistent([], chain_universe(10, bound=10))
 
 
 class TestEntails:
@@ -195,25 +194,25 @@ class TestAtomCeiling:
 
         monkeypatch.setattr(Universe, "full_column", never)
         monkeypatch.setattr(Universe, "atom_column", never)
-        u = chain_universe(40)
+        u = chain_universe(40, bound=40)
         with pytest.raises(BoundExceededError) as exc:
-            check_bound(u, bound=40)
+            check_bound(u)
         assert (exc.value.atom_count, exc.value.bound) == (40, ATOM_CEILING)
         assert "ceiling" in str(exc.value)
         for refused in (
-            lambda: consistent([], u, bound=40),
-            lambda: entails([], u.atoms[0], u, bound=40),
-            lambda: Fabula(u, [u.atoms[0]], bound=40),
-            lambda: enumerate_models([], u, bound=40),
+            lambda: consistent([], u),
+            lambda: entails([], u.atoms[0], u),
+            lambda: Fabula(u, [u.atoms[0]]),
+            lambda: enumerate_models([], u),
         ):
             with pytest.raises(BoundExceededError):
                 refused()
 
     def test_bounds_up_to_the_ceiling_still_apply(self):
         with pytest.raises(BoundExceededError) as exc:
-            check_bound(chain_universe(ATOM_CEILING + 1), bound=ATOM_CEILING + 1)
+            check_bound(chain_universe(ATOM_CEILING + 1, bound=ATOM_CEILING + 1))
         assert exc.value.bound == ATOM_CEILING
-        check_bound(chain_universe(ATOM_CEILING), bound=ATOM_CEILING)
+        check_bound(chain_universe(ATOM_CEILING, bound=ATOM_CEILING))
         with pytest.raises(BoundExceededError) as exc:
-            check_bound(chain_universe(12), bound=10)
+            check_bound(chain_universe(12, bound=10))
         assert exc.value.bound == 10

@@ -22,7 +22,7 @@ from storyworlds.story import (
     serialize_timeline,
 )
 
-from helpers import random_monotone_timeline, random_universe
+from helpers import chain_story, random_monotone_timeline, random_universe
 
 MINIMAL = """\
 sort s: a, b
@@ -182,6 +182,11 @@ class TestRoundTrip:
             again = parse_story(text)
             assert again.steps == t.steps
             assert serialize_timeline(again) == text
+
+    def test_roundtrip_above_the_default_bound(self):
+        t = parse_story(chain_story(25), bound=25)
+        assert t.universe.bound == 25
+        assert parse_story(serialize_timeline(t), bound=25).steps == t.steps
 
     def test_removal_lines_roundtrip(self):
         text = "sort s: a, b\nrel p(s)\n\nt=0:\n+ p(a)\n+ p(b)\n\nt=1:\n- p(b)\n"
