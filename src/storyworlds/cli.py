@@ -27,7 +27,10 @@ EXIT_IO = 3
 
 
 def _read_story(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"story file {path}: {e}") from None
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -185,11 +185,6 @@ class Universe:
         if atom not in self._index:
             raise UnknownAtomError(self._describe_bad_atom(atom))
 
-    def check_formula(self, f: Formula) -> None:
-        """Validate every atom occurring in ``f`` against this universe."""
-        for a in atoms_of(f):
-            self.check_atom(a)
-
     def _describe_bad_atom(self, atom: Atom) -> str:
         rel = self._relations.get(atom.relation)
         if rel is None:
@@ -272,24 +267,6 @@ class World:
             a if self.mask >> i & 1 else Not(a)
             for i, a in enumerate(self.universe.atoms)
         )
-
-
-def atoms_of(f: Formula) -> Iterator[Atom]:
-    """Yield every atom occurrence in ``f`` (with repetition)."""
-    if isinstance(f, Atom):
-        yield f
-    elif isinstance(f, Not):
-        yield from atoms_of(f.operand)
-    elif isinstance(f, (And, Or)):
-        for item in f.items:
-            yield from atoms_of(item)
-    elif isinstance(f, Implies):
-        yield from atoms_of(f.antecedent)
-        yield from atoms_of(f.consequent)
-    elif isinstance(f, Constant):
-        return
-    else:
-        raise TypeError(f"not a formula: {f!r}")
 
 
 def map_atoms(f: Formula, fn: Callable[[Atom], Atom]) -> Formula:
@@ -390,13 +367,13 @@ def models_column(props: Iterable[Formula], universe: Universe) -> int:
 
     Decided by exhaustive enumeration over all assignments (as bitwise
     column intersection), so the universe must fit its bound; the bound is
-    checked before any column is built.
+    checked before any column is built. Every formula's column is built,
+    even once the conjunction is empty, so an atom outside the universe
+    raises UnknownAtomError whatever order ``props`` iterates in.
     """
     check_bound(universe)
     col = universe.full_column()
     for f in props:
-        if not col:
-            break
         col &= truth_column(f, universe)
     return col
 

@@ -85,7 +85,10 @@ class RunConfig:
 
 def read_config_file(path: str | Path) -> dict[str, Any]:
     """Read a JSON config file: one object with the same keys as the flags."""
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ValueError(f"config file {path}: {e}") from None
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
     return raw

@@ -212,46 +212,41 @@ def parse_formula(
 
 
 class Fabula:
-    """A consistent, canonically ordered set of asserted propositions.
+    """A consistent set of asserted propositions.
 
-    Propositions are deduplicated and sorted lexicographically by their
-    serialized form. ``column`` is the truth column of their conjunction (bit
-    ``m`` set iff assignment mask ``m`` is a model). Construction fails with
-    InconsistentFabulaError (carrying a greedily minimized conflicting subset)
-    when no world satisfies the set.
+    ``propositions`` is the frozenset of distinct formulas and ``column`` the
+    truth column of their conjunction (bit ``m`` set iff assignment mask
+    ``m`` is a model). Building the column checks every atom against the
+    universe (UnknownAtomError). Iteration and ``repr`` use canonical order:
+    lexicographic by serialized form. Construction fails with
+    InconsistentFabulaError (carrying a greedily minimized conflicting
+    subset, in canonical order) when no world satisfies the set.
     """
 
-    __slots__ = ("universe", "propositions", "column", "_set")
+    __slots__ = ("universe", "propositions", "column")
 
     def __init__(self, universe: Universe, propositions: Iterable[Formula] = ()):
-        given = tuple(propositions)
-        for f in given:
-            universe.check_formula(f)
-        ordered = sorted(set(given), key=formula_to_str)
-        column = models_column(ordered, universe)
+        props = frozenset(propositions)
+        column = models_column(props, universe)
         if not column:
-            conflict = _minimal_conflict(ordered, universe)
+            conflict = _minimal_conflict(sorted(props, key=formula_to_str), universe)
             raise InconsistentFabulaError(
                 conflict,
                 "inconsistent fabula; conflicting subset: "
                 + ", ".join(formula_to_str(f) for f in conflict),
             )
         self.universe = universe
-        self.propositions: tuple[Formula, ...] = tuple(ordered)
+        self.propositions = props
         self.column = column
-        self._set = frozenset(ordered)
 
     def __iter__(self) -> Iterator[Formula]:
-        return iter(self.propositions)
+        return iter(sorted(self.propositions, key=formula_to_str))
 
     def __len__(self) -> int:
         return len(self.propositions)
 
     def __contains__(self, f: Formula) -> bool:
-        return f in self._set
-
-    def as_set(self) -> frozenset:
-        return self._set
+        return f in self.propositions
 
     def __eq__(self, other) -> bool:
         return (
@@ -264,7 +259,7 @@ class Fabula:
         return hash((self.universe, self.propositions))
 
     def __repr__(self) -> str:
-        inner = ", ".join(formula_to_str(f) for f in self.propositions)
+        inner = ", ".join(formula_to_str(f) for f in self)
         return f"Fabula({{{inner}}})"
 
 
@@ -298,18 +293,18 @@ def delta(prev: Fabula, next_: Fabula) -> TransitionEdit:
     if prev.universe != next_.universe:
         raise UniverseMismatchError("fabulas belong to different universes")
     return TransitionEdit(
-        additions=next_.as_set() - prev.as_set(),
-        removals=prev.as_set() - next_.as_set(),
+        additions=next_.propositions - prev.propositions,
+        removals=prev.propositions - next_.propositions,
     )
 
 
 def apply_transition(fabula: Fabula, edit: TransitionEdit) -> Fabula:
-    """Apply ``edit`` to ``fabula``: remove, then add, then re-canonicalize.
+    """Apply ``edit`` to ``fabula``: remove, then add.
 
     Raises InconsistentFabulaError when the result has no satisfying world.
     Removing an absent formula is a no-op.
     """
-    props = (fabula.as_set() - edit.removals) | edit.additions
+    props = (fabula.propositions - edit.removals) | edit.additions
     return Fabula(fabula.universe, props)
 
 

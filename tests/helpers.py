@@ -4,7 +4,17 @@ from __future__ import annotations
 
 import random
 
-from storyworlds.logic import And, Formula, Implies, Not, Or, Universe, World, evaluate
+from storyworlds.logic import (
+    And,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    Universe,
+    World,
+    evaluate,
+    negate,
+)
 from storyworlds.story import Fabula, Timeline, TransitionEdit, apply_transition
 
 
@@ -95,5 +105,24 @@ def random_monotone_timeline(
                 f = Not(f) if not isinstance(f, Not) else f.operand
             additions.append(f)
         fab = apply_transition(fab, TransitionEdit(frozenset(additions), frozenset()))
+        steps.append(fab)
+    return Timeline(universe, tuple(steps))
+
+
+def random_timeline(rng: random.Random, universe: Universe, max_steps: int) -> Timeline:
+    """A timeline whose steps also retract propositions, flip literals and
+    add compound formulas: each step moves to a new witness world, replaces
+    every formula the witness falsifies by its negation, retracts a random
+    few that it satisfies, and adds random formulas that it satisfies."""
+    steps = []
+    fab = Fabula(universe, ())
+    for _ in range(rng.randrange(1, max_steps + 1)):
+        witness = World(universe, rng.randrange(1 << universe.atom_count))
+        removals = {f for f in fab if not evaluate(witness, f) or rng.random() < 0.2}
+        additions = {negate(f) for f in removals if not evaluate(witness, f)}
+        for _ in range(rng.randrange(0, 4)):
+            f = random_formula(rng, universe, rng.randrange(0, 3))
+            additions.add(f if evaluate(witness, f) else negate(f))
+        fab = apply_transition(fab, TransitionEdit(additions - removals, removals))
         steps.append(fab)
     return Timeline(universe, tuple(steps))

@@ -47,6 +47,14 @@ class TestValidate:
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.story")]) == 3
 
+    @pytest.mark.parametrize("command", ["validate", "enumerate", "analyze"])
+    def test_non_utf8_story_names_the_file(self, tmp_path, capsys, command):
+        p = tmp_path / "latin1.story"
+        p.write_bytes(b"sort s: caf\xe9\n")
+        assert main([command, str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: story file {p}: ") and "Traceback" not in err
+
 
 class TestEnumerate:
     def test_counts(self, cards_story_path, capsys):
@@ -242,6 +250,18 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize(
+        "content", [b'{"seed": 1, }', b'{"story": "caf\xe9"}'], ids=["json", "utf-8"]
+    )
+    def test_undecodable_config_file_names_the_file(
+        self, cards_story_path, tmp_path, capsys, content
+    ):
+        cfg = tmp_path / "run.json"
+        cfg.write_bytes(content)
+        assert main(["analyze", str(cards_story_path), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config file {cfg}: ") and "Traceback" not in err
 
     def test_zero_denominator_theta_flag_exits_1(self, cards_story_path, capsys):
         assert main(["analyze", str(cards_story_path), "--theta", "1/0"]) == 1

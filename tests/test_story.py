@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storyworlds.errors import (
     InconsistentFabulaError,
     InconsistentStepError,
     ParseError,
+    UnknownAtomError,
 )
-from storyworlds.logic import And, Implies, Not, Or
+from storyworlds.logic import FALSE, And, Atom, Implies, Not, Or, models_column
 from storyworlds.story import (
     MAX_FORMULA_DEPTH,
     Fabula,
@@ -22,7 +29,14 @@ from storyworlds.story import (
     serialize_timeline,
 )
 
-from helpers import chain_story, random_monotone_timeline, random_universe
+from helpers import (
+    chain_story,
+    random_monotone_timeline,
+    random_timeline,
+    random_universe,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MINIMAL = """\
 sort s: a, b
@@ -98,8 +112,8 @@ class TestFormulaGrammar:
     )
     def test_nesting_limit(self, cards_universe, wrap):
         atom = "wears(jay,blue)"
-        deepest = wrap(atom, MAX_FORMULA_DEPTH)
-        assert formula_to_str(parse_formula(deepest, cards_universe))
+        deepest = parse_formula(wrap(atom, MAX_FORMULA_DEPTH), cards_universe)
+        assert parse_formula(formula_to_str(deepest), cards_universe) == deepest
         too_deep = wrap(atom, MAX_FORMULA_DEPTH + 1)
         with pytest.raises(ParseError) as exc:
             parse_formula(too_deep, cards_universe, line=7, col_offset=2)
@@ -194,6 +208,18 @@ class TestRoundTrip:
         assert len(t.steps[1]) == 1
         assert parse_story(serialize_timeline(t)).steps == t.steps
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_random_timelines_with_retractions_roundtrip(self, seed):
+        rng = random.Random(seed)
+        u = random_universe(rng, 6)
+        t = random_timeline(rng, u, 5)
+        assert parse_story(serialize_timeline(t)).steps == t.steps
+        for step in t.steps:
+            assert step.column == models_column(step.propositions, u)
+        for prev, cur in zip(t.steps, t.steps[1:]):
+            assert apply_transition(prev, delta(prev, cur)) == cur
+
 
 class TestFabula:
     def test_canonical_order_and_dedup(self, cards_universe):
@@ -215,6 +241,58 @@ class TestFabula:
         with pytest.raises(InconsistentFabulaError) as exc:
             Fabula(cards_universe, [a, b, Not(a)])
         assert set(exc.value.conflict) == {a, Not(a)}
+
+    def test_unknown_atom_wins_over_inconsistency(self, cards_universe):
+        a = cards_universe.atom("wears", "jay", "blue")
+        nope = Atom("nope", ("x",))
+        with pytest.raises(UnknownAtomError):
+            Fabula(cards_universe, [FALSE, nope])
+        with pytest.raises(UnknownAtomError):
+            Fabula(cards_universe, [a, Not(a), nope])
+        # "!nope(x)" sorts first, so the conflict search drops it untried;
+        # it is refused only because its column is built even after false
+        # has emptied the conjunction
+        with pytest.raises(UnknownAtomError):
+            Fabula(cards_universe, [FALSE, Not(nope)])
+
+
+#: Run under a given PYTHONHASHSEED from ``tests/data``: print the conflict of
+#: an inconsistent step (several propositions, one implication), then write
+#: one golden configuration's report to ``argv[1]``.
+HASH_SEED_SCRIPT = """
+import sys
+from storyworlds.cli import main
+from storyworlds.errors import InconsistentStepError
+from storyworlds.story import formula_to_str, parse_story
+
+story = "sort s: a, b, c\\nrel p(s)\\nrel q(s)\\n\\nt=0:\\n"
+for line in ("q(b)", "p(c)", "p(a) -> q(c)", "!q(c)", "p(a)"):
+    story += "+ " + line + "\\n"
+try:
+    parse_story(story)
+except InconsistentStepError as e:
+    print(" ; ".join(formula_to_str(f) for f in e.conflict))
+argv = ["analyze", "twist.story", "--channel", "corrupt(happy(hal))", "--seed", "0"]
+sys.exit(main(argv + ["--format", "json", "--out", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1"])
+def test_results_do_not_depend_on_the_hash_seed(tmp_path, hash_seed):
+    out = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+    run = subprocess.run(
+        [sys.executable, "-c", HASH_SEED_SCRIPT, str(out)],
+        cwd=ROOT / "tests" / "data",
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["!q(c) ; p(a) ; p(a) -> q(c)"]
+    golden = ROOT / "tests" / "data" / "golden" / "twist-corrupt-s0.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 class TestDeltaAndTransitions:
@@ -271,4 +349,4 @@ class TestDeltaAndTransitions:
             u = random_universe(rng, 8)
             t = random_monotone_timeline(rng, u, 5)
             for prev, cur in zip(t.steps, t.steps[1:]):
-                assert prev.as_set() <= cur.as_set()
+                assert prev.propositions <= cur.propositions
