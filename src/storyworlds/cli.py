@@ -5,11 +5,18 @@ count at one step), ``analyze`` (full pipeline, JSON or CSV report).
 
 Exit codes: 0 success, 1 parse/usage error (including refused enumeration
 bounds), 2 inconsistent story, 3 I/O failure.
+
+``main(argv)`` may be called any number of times in one process, and each
+call returns the same exit code it would as a fresh ``storyworlds`` process.
+The argument parser is built on the first call and shared by every later
+one: parsing leaves it unchanged, and argparse looks up ``sys.stdout`` and
+``sys.stderr`` only when it prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -79,7 +86,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on first use. Every caller
+    gets the same object, so none may add to it or change its defaults."""
     parser = argparse.ArgumentParser(
         prog="storyworlds",
         description="Possible-worlds analysis of story timelines.",

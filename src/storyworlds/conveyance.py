@@ -4,11 +4,12 @@ The pipeline mirrors how a story travels: the narrator compresses a complete
 world into a fabula of literals, the fabula crosses a (possibly lossy or
 corrupting) channel, and the reader reconstructs the set of worlds consistent
 with what arrived. The accuracy report compares the reader's decided beliefs
-with the narrator's world, atom by atom: agreement on a decided atom is a
-match, disagreement a mismatch, silence undetermined. The conveyance commutes
-(the mediated path agrees with direct transfer) exactly when nothing is
-mismatched; undetermined atoms measure lossiness, not error, and are excluded
-from the accuracy denominator.
+with the narrator's world, atom by atom, over the atoms the narrator sent
+(a rename target that is not also a source is never sent): agreement on a
+decided atom is a match, disagreement a mismatch, silence undetermined. The
+conveyance commutes (the mediated path agrees with direct transfer) exactly
+when nothing is mismatched; undetermined atoms measure lossiness, not error,
+and are excluded from the accuracy denominator.
 """
 
 from __future__ import annotations
@@ -140,6 +141,17 @@ def _check_rename(old: str, new: str, universe: Universe) -> None:
         )
 
 
+def unsent_relations(correspondence: Mapping[str, str] | None) -> frozenset[str]:
+    """The rename targets that are not also rename sources.
+
+    The narrator does not send atoms of these relations: on the wire they
+    would share a name with the renamed source atoms. A target that is also
+    a source, as in a swap or a self-rename, is sent under its own new name.
+    """
+    table = correspondence or {}
+    return frozenset(table.values()) - frozenset(table)
+
+
 def compress(world: World, importance: Callable[[Atom], bool] | None = None) -> Fabula:
     """Compress a complete world into a fabula of its ground literals,
     keeping only atoms that pass the importance predicate (default: all)."""
@@ -237,15 +249,20 @@ def accuracy_report(
     """Compare each narrator atom's truth with the reader's decided beliefs.
 
     ``correspondence`` maps narrator relation names into the reader's
-    universe (identity by default). Accuracy is matched/(matched+mismatched);
-    a fully undetermined comparison counts as accurate (no evidence of
-    error), so accuracy defaults to 1 when nothing is decided.
+    universe (identity by default). Only atoms the narrator sends are
+    compared: atoms of ``unsent_relations(correspondence)`` are skipped.
+    Accuracy is matched/(matched+mismatched); a fully undetermined
+    comparison counts as accurate (no evidence of error), so accuracy
+    defaults to 1 when nothing is decided.
     """
     table = dict(correspondence) if correspondence else {}
+    unsent = unsent_relations(table)
     reader_universe = reader.fabula.universe
     matched = mismatched = undetermined = 0
     bad: list[Atom] = []
     for atom in narrator_world.universe.atoms:
+        if atom.relation in unsent:
+            continue
         target = Atom(table.get(atom.relation, atom.relation), atom.args)
         reader_universe.check_atom(target)
         value = narrator_world.truth(atom)

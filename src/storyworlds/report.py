@@ -24,6 +24,7 @@ from .conveyance import (
     parse_channel_spec,
     reconstruct,
     transmit,
+    unsent_relations,
 )
 from .errors import MetricError
 from .filters import extend_to_ultrafilter, ultraproduct
@@ -280,14 +281,12 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
             step_row["changed_fraction"] = rational(Fraction(0))
             step_row["is_kernel"] = False
 
-    # The narrator compresses their own vocabulary; rename targets are the
-    # reader-side wire names and would collide with their renamed sources.
-    rename_targets = set(channel.rename_map().values())
-    narrator_vocab = (
-        (lambda a: a.relation not in rename_targets) if rename_targets else None
-    )
-    reader_rt = reconstruct(transmit(compress(truth, narrator_vocab), channel, warnings))
+    # The narrator sends every atom but those of rename targets that are not
+    # also sources, which would collide with their renamed sources on the wire.
     correspondence = channel.rename_map() or None
+    unsent = unsent_relations(correspondence)
+    narrator_vocab = (lambda a: a.relation not in unsent) if unsent else None
+    reader_rt = reconstruct(transmit(compress(truth, narrator_vocab), channel, warnings))
     conv = accuracy_report(truth, reader_rt, correspondence)
 
     etc_rows = []

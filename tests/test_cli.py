@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import argparse
 import json
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from storyworlds import cli
 from storyworlds.cli import main
 from storyworlds.conveyance import evolve, parse_channel_spec
 from storyworlds.logic import Universe
@@ -169,9 +171,9 @@ class TestAnalyze:
         )
         report = json.loads(out.read_text())
         conv = report["conveyance"]
-        # said-atoms match through the correspondence; the reader's heard-
-        # beliefs contradict the ground truth's own heard-atoms
-        assert conv["matched"] == 2 and conv["mismatched"] == 2
+        # said-atoms match through the correspondence; heard is a rename
+        # target but not a source, so its atoms are never sent nor scored
+        assert (conv["matched"], conv["mismatched"], conv["undetermined"]) == (2, 0, 0)
         assert [s["world_count"] for s in report["steps"]] == [8, 4]
 
     def test_contradictory_truth_spec_exits_1(self, cards_story_path):
@@ -411,3 +413,42 @@ class TestAtomCeiling:
         assert main(["analyze", str(p), "--bound", "24"]) == 1
         err = capsys.readouterr().err
         assert "25 ground atoms, exceeding the enumeration bound of 24" in err
+
+
+class TestInProcessCalls:
+    """``main`` builds its parser on the first call and shares it with every
+    later call in the process; no call sees state another call left."""
+
+    def test_later_calls_build_no_parser(self, cards_story_path, capsys, monkeypatch):
+        assert main(["validate", str(cards_story_path)]) == 0
+        built = []
+
+        class Counting(argparse.ArgumentParser):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli.argparse, "ArgumentParser", Counting)
+        assert main(["validate", str(cards_story_path)]) == 0
+        assert main(["analyze", str(cards_story_path), "--format", "csv"]) == 0
+        assert built == []
+
+    def test_no_flag_outlives_its_call(self, cards_story_path, tmp_path, capsys):
+        story, out = str(cards_story_path), tmp_path / "report"
+
+        def analyze(*flags):
+            assert main(["analyze", story, *flags, "--out", str(out)]) == 0
+            return out.read_text()
+
+        assert analyze("--format", "csv").startswith("step,")
+        assert json.loads(analyze())["config"]["format"] == "json"
+        assert json.loads(analyze("--seed", "3"))["config"]["seed"] == 3
+        assert json.loads(analyze())["config"]["seed"] == RunConfig.seed
+        assert main(["analyze", story, "--format", "xml"]) == 1
+        assert "usage:" in capsys.readouterr().err
+        assert json.loads(analyze())["config"]["seed"] == RunConfig.seed
+
+    def test_help_twice(self, capsys):
+        for _ in range(2):
+            assert main(["--help"]) == 0
+            assert "usage: storyworlds" in capsys.readouterr().out

@@ -5,6 +5,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storyworlds.conveyance import (
     Channel,
@@ -15,6 +17,7 @@ from storyworlds.conveyance import (
     parse_channel_spec,
     reconstruct,
     transmit,
+    unsent_relations,
 )
 from storyworlds.errors import (
     BoundExceededError,
@@ -201,6 +204,58 @@ class TestAccuracyReport:
             state = reconstruct(transmit(compress(w), Channel.identity()))
             report = accuracy_report(w, state)
             assert report.accuracy == 1 and report.undetermined == 0
+
+
+@st.composite
+def two_relation_worlds(draw):
+    """A world over a universe whose two relations ``p`` and ``q`` have the
+    same argument sorts (1-2 sorts of 1-3 constants, arity 1-2), so each can
+    be renamed to itself or to the other."""
+    sorts = {
+        f"s{i}": tuple(f"s{i}c{j}" for j in range(draw(st.integers(1, 3))))
+        for i in range(draw(st.integers(1, 2)))
+    }
+    args = tuple(draw(st.lists(st.sampled_from(sorted(sorts)), min_size=1, max_size=2)))
+    u = Universe(sorts, [("p", args), ("q", args)])
+    return World(u, draw(st.integers(0, (1 << u.atom_count) - 1)))
+
+
+def convey_renamed(w, mapping):
+    """The narrator's side of ``report.run_analysis``: compress ``w`` to the
+    atoms it sends under ``mapping``, rename, reconstruct, and score."""
+    unsent = unsent_relations(mapping)
+    fab = compress(w, lambda a: a.relation not in unsent)
+    return accuracy_report(w, reconstruct(transmit(fab, Channel.renaming(mapping))), mapping)
+
+
+class TestLosslessRenames:
+    """A rename channel is scored on the atoms the narrator sent: a target
+    that is not also a source is never sent, so it is never compared."""
+
+    def test_unsent_relations(self):
+        assert unsent_relations(None) == frozenset()
+        assert unsent_relations({"x": "y"}) == {"y"}
+        assert unsent_relations({"x": "y", "y": "x"}) == frozenset()
+        assert unsent_relations({"x": "x"}) == frozenset()
+        assert unsent_relations({"x": "y", "y": "z"}) == {"z"}
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        two_relation_worlds(),
+        st.sampled_from(({"p": "p"}, {"q": "q"}, {"p": "p", "q": "q"}, {"p": "q", "q": "p"})),
+    )
+    def test_self_renames_and_swaps_are_lossless(self, w, mapping):
+        report = convey_renamed(w, mapping)
+        assert report.accuracy == 1 and report.mismatched == 0
+        assert report.matched == w.universe.atom_count and report.undetermined == 0
+
+    @settings(max_examples=50, deadline=None)
+    @given(two_relation_worlds())
+    def test_one_way_rename_scores_only_the_sent_relation(self, w):
+        report = convey_renamed(w, {"p": "q"})
+        sent = sum(a.relation == "p" for a in w.universe.atoms)
+        assert (report.matched, report.mismatched, report.undetermined) == (sent, 0, 0)
+        assert report.accuracy == 1 and report.commutes
 
 
 class TestEvolve:

@@ -18,7 +18,11 @@ questions, answers given and absent) through ``--config``, and
 ``bound24-identity-s0.json`` analyses a 24-atom story at ``--bound 24``
 (step 0 holds 2**23 worlds); all nine were written by the implementation
 that built one ``Implies`` column and one ``Fraction`` per question, twice
-per step. To rewrite them after an intended report change::
+per step. The four ``*-rename-*.json`` files were rewritten once since,
+when conveyance began to score only the atoms the narrator sent: a
+self-rename now sends its relation, so only their ``conveyance`` block
+changed (matched 4 -> 8, undetermined 4 -> 0). To rewrite them after an
+intended report change::
 
     PYTHONPATH=src:tests python -c "import test_golden; test_golden.write_all()"
 """
