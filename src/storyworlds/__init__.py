@@ -76,6 +76,7 @@ from .metrics import (
     kernel_questions,
     mean_question_entropy,
     relevance,
+    sample_coherence,
     transitional_coherence,
     world_coherence,
 )

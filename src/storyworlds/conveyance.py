@@ -199,9 +199,12 @@ def transmit(
     Drop removes the listed formulas, rename rewrites relation names, corrupt
     replaces listed formulas by their negations. Targets absent from the
     fabula are recorded on ``warnings`` (when given) rather than raised; an
-    inconsistent result raises InconsistentFabulaError.
+    inconsistent result raises InconsistentFabulaError. A channel that
+    changes none of the propositions returns ``fabula`` itself.
     """
     props = _rewrite(fabula.propositions, channel, warnings, "fabula")
+    if props == fabula.propositions:
+        return fabula
     return Fabula(fabula.universe, props)
 
 

@@ -8,7 +8,9 @@ taken at an earlier time against questions pulled back through a kernel.
 Those proportions stay exact, but no per-question ``Fraction`` is built:
 each question's true count over the sample is an integer, coherence is one
 ``Fraction`` of their sum, and each entropy divides a count by the sample
-size.
+size. ``sample_coherence`` scores a step's derived questions in closed form
+from the sample's literal counts, building no question, and counts given
+questions once for both values.
 """
 
 from __future__ import annotations
@@ -203,6 +205,26 @@ def _question_pairs(
     return tuple(islice(pairs, max_questions))
 
 
+def _literal_split(sample: WorldSet) -> tuple[int, list[Formula], list[tuple[Formula, int]]]:
+    """The sample size, the ground literals every sampled world holds, and
+    the literals a strict majority (but not all) of it holds with their hit
+    counts; one popcount per atom, both lists unsorted."""
+    total = len(sample)
+    if total == 0:
+        raise EmptyWorldSetError("cannot derive questions from an empty sample")
+    members, table = sample.own_column, sample.table
+    unanimous: list[Formula] = []
+    majority: list[tuple[Formula, int]] = []
+    for i, atom in enumerate(sample.universe.atoms):
+        hits = (members & table.atom_column(i)).bit_count()
+        for lit, count in ((atom, hits), (Not(atom), total - hits)):
+            if count == total:
+                unanimous.append(lit)
+            elif 2 * count > total:
+                majority.append((lit, count))
+    return total, unanimous, majority
+
+
 def derive_world_questions(
     sample: WorldSet, max_questions: int = 64
 ) -> tuple[Question, ...]:
@@ -212,22 +234,41 @@ def derive_world_questions(
     are literals a strict majority (but not all) of the sample holds. Pairs
     are taken in canonical order and capped at ``max_questions``.
     """
-    if len(sample) == 0:
-        raise EmptyWorldSetError("cannot derive questions from an empty sample")
-    total = len(sample)
-    members, table = sample.own_column, sample.table
-    unanimous: list[Formula] = []
-    majority: list[Formula] = []
-    for i, atom in enumerate(sample.universe.atoms):
-        hits = (members & table.atom_column(i)).bit_count()
-        for lit, count in ((atom, hits), (Not(atom), total - hits)):
-            if count == total:
-                unanimous.append(lit)
-            elif 2 * count > total:
-                majority.append(lit)
-    unanimous.sort(key=formula_to_str)
-    majority.sort(key=formula_to_str)
-    return _question_pairs(unanimous, majority, max_questions)
+    _, unanimous, majority = _literal_split(sample)
+    return _question_pairs(
+        sorted(unanimous, key=formula_to_str),
+        sorted((lit for lit, _ in majority), key=formula_to_str),
+        max_questions,
+    )
+
+
+def sample_coherence(
+    sample: WorldSet, questions: Sequence[Question] = (), max_questions: int = 64
+) -> tuple[int, Fraction | None, float | None]:
+    """The question count, world coherence and mean question entropy of the
+    given questions over the sample, or of its derived questions
+    (``derive_world_questions(sample, max_questions)``) when none are given;
+    ``(0, None, None)`` when there are no derived questions.
+
+    Given questions are counted once. Derived ones are not built: every
+    antecedent holds throughout the sample, so ``a -> b`` is true exactly
+    where ``b`` holds, and question ``i`` of the antecedent-major grid has
+    the hit count of majority literal ``i mod |M|``.
+    """
+    if questions:
+        total, counts = _true_counts(sample, questions)
+        entropies = [binary_entropy(c / total) for c in counts]
+    else:
+        if max_questions < 0:
+            raise ValueError(f"question cap {max_questions} is negative")
+        total, unanimous, majority = _literal_split(sample)
+        n = min(max_questions, len(unanimous) * len(majority))
+        if n == 0:
+            return 0, None, None
+        majority.sort(key=lambda pair: formula_to_str(pair[0]))
+        row = [(c, binary_entropy(c / total)) for _, c in majority[:n]]
+        counts, entropies = zip(*(row[i % len(row)] for i in range(n)))
+    return len(counts), Fraction(sum(counts), total * len(counts)), _mean(entropies)
 
 
 @dataclass(frozen=True)

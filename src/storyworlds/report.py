@@ -32,14 +32,19 @@ from .logic import DEFAULT_ATOM_BOUND, Atom, Not, Universe, World
 from .metrics import (
     Question,
     classify_satellites,
-    derive_world_questions,
     detect_kernels,
-    mean_question_entropy,
+    sample_coherence,
     transitional_coherence,
-    world_coherence,
 )
-from .story import Timeline, delta, formula_to_str, parse_formula, parse_story
-from .worlds import agreement_check, intersect, sample_worlds
+from .story import Timeline, formula_to_str, parse_formula, parse_story
+from .worlds import sample_worlds
+
+# Unused here, but the benchmark's tracing hooks (bench/spans.py HOOKS) look
+# these names up on this module; they go when an in-source stage trace
+# replaces the hooks (ROADMAP item 3).
+from .metrics import derive_world_questions, mean_question_entropy, world_coherence  # noqa: F401
+from .story import delta  # noqa: F401
+from .worlds import agreement_check, intersect  # noqa: F401
 
 CSV_COLUMNS = (
     "step",
@@ -217,9 +222,8 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
     """Execute the full pipeline and return the JSON-ready report dict.
 
     ``story_text`` sidesteps file I/O when the caller already read the story.
-    Raises instead of writing partial output; warnings (agreement violations
-    on contraction steps, skipped checks, absent channel targets) are report
-    fields, not failures.
+    Raises instead of writing partial output; warnings (skipped checks,
+    absent channel targets) are report fields, not failures.
     """
     if story_text is None:
         story_text = Path(config.story).read_text(encoding="utf-8")
@@ -238,32 +242,18 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
     for t, state in enumerate(states):
         sample = sample_worlds(state.worlds, config.sample_k, config.seed)
         samples.append(sample)
-        questions = config_questions or derive_world_questions(sample)
-        if questions:
-            coherence = rational(world_coherence(sample, questions))
-            entropy = mean_question_entropy(sample, questions)
-        else:
-            coherence = None
-            entropy = None
+        count, coherence, entropy = sample_coherence(sample, config_questions)
         steps_out.append(
             {
                 "t": t,
                 "world_count": len(state.worlds),
                 "belief_count": len(state.beliefs),
                 "sample_size": len(sample),
-                "world_coherence": coherence,
+                "world_coherence": None if coherence is None else rational(coherence),
                 "world_coherence_mean_entropy": entropy,
-                "world_coherence_questions": len(questions),
+                "world_coherence_questions": count,
             }
         )
-        if t >= 1:
-            edit = delta(states[t - 1].fabula, state.fabula)
-            shared = intersect(states[t - 1].worlds, state.worlds)
-            if len(shared) and not agreement_check(shared, edit.additions):
-                warnings.append(
-                    f"step t={t}: shared worlds disagree with the step's additions "
-                    "(contraction broke the expansion property)"
-                )
 
     if len(states) >= 2:
         kernels = detect_kernels(states, config.theta)

@@ -103,7 +103,7 @@ class WorldSet:
     """A duplicate-free set of worlds over one universe, held as a truth
     column (universe space) or as its ascending masks (rank space)."""
 
-    __slots__ = ("universe", "_column", "_masks", "_table")
+    __slots__ = ("universe", "_column", "_masks", "_table", "_len")
 
     def __init__(self, universe: Universe, masks: Iterable[int]):
         masks = sorted(set(masks))
@@ -111,12 +111,13 @@ class WorldSet:
             raise ValueError("world mask outside the universe's assignment range")
         self.universe, self._column, self._masks = universe, None, tuple(masks)
         self._table: RankTable | None = None
+        self._len = len(masks)
 
     @classmethod
     def from_column(cls, universe: Universe, column: int) -> "WorldSet":
         """The world set whose truth column is ``column``, in universe space."""
         s = cls.__new__(cls)
-        s.universe, s._column, s._masks, s._table = universe, column, None, None
+        s.universe, s._column, s._masks, s._table, s._len = universe, column, None, None, None
         return s
 
     @property
@@ -166,9 +167,10 @@ class WorldSet:
         return tuple(self.select(range(len(self))))
 
     def __len__(self) -> int:
-        if self._masks is None:
-            return self._column.bit_count()
-        return len(self._masks)
+        # a universe-space set counts its column once
+        if self._len is None:
+            self._len = self._column.bit_count()
+        return self._len
 
     def __iter__(self) -> Iterator[World]:
         """The member worlds, ascending, streamed from the select."""

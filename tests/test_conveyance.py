@@ -83,6 +83,15 @@ class TestTransmit:
         assert out == fabula_f1
         assert len(warnings) == 1 and "wears(ali,red)" in warnings[0]
 
+    def test_unchanging_channel_returns_the_fabula_itself(self, cards_universe, fabula_f1):
+        assert transmit(fabula_f1, Channel.identity()) is fabula_f1
+        assert transmit(fabula_f1, Channel.renaming({"wears": "wears"})) is fabula_f1
+        ghost = cards_universe.atom("wears", "ali", "red")
+        for channel in (Channel.drop({ghost}), Channel.corrupt({ghost})):
+            warnings: list[str] = []
+            assert transmit(fabula_f1, channel, warnings) is fabula_f1
+            assert len(warnings) == 1 and "wears(ali,red)" in warnings[0]
+
     def test_inconsistent_output_is_an_error(self, cards_universe):
         a = cards_universe.atom("wears", "jay", "blue")
         b = cards_universe.atom("plays", "ali", "jay")

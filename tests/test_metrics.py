@@ -22,6 +22,7 @@ from storyworlds.metrics import (
     mean_question_entropy,
     pullback_restriction,
     relevance,
+    sample_coherence,
     transitional_coherence,
     world_coherence,
 )
@@ -572,3 +573,62 @@ class TestCoherenceAgainstOracle:
                     metric(empty, [])
                 with pytest.raises(EmptyWorldSetError):
                     metric(empty, [q])
+
+
+@st.composite
+def partly_decided_sets(draw):
+    """A non-empty universe-space set over 1-8 atoms that fixes a random
+    subset of the atoms and keeps each other world with a drawn density, so
+    samples of it have unanimous and majority literals."""
+    n = draw(st.integers(1, 8))
+    u = chain_universe(n)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    fixed, values = rng.getrandbits(n), rng.getrandbits(n)
+    density = rng.random()
+    column = 1 << (values & fixed)
+    for m in range(1 << n):
+        if m & fixed == values & fixed and rng.random() < density:
+            column |= 1 << m
+    return WorldSet.from_column(u, column)
+
+
+def _coherence_triple(sample, questions):
+    if not questions:
+        return 0, None, None
+    return (
+        len(questions),
+        world_coherence(sample, questions),
+        repr(mean_question_entropy(sample, questions)),
+    )
+
+
+class TestSampleCoherence:
+    @settings(max_examples=200, deadline=None)
+    @given(partly_decided_sets(), st.integers(1, 20), st.integers(0, 10**6))
+    def test_derived_questions_in_closed_form(self, full, k, seed):
+        for ws in (full, full.ranked(), sample_worlds(full, k, seed)):
+            grid = derive_world_questions(ws, 1 << 20)
+            width = len({q.consequent for q in grid})
+            caps = {0, 1, 64}
+            if width >= 2:
+                # caps that end part of the way through a row of the grid
+                caps |= {row * width + width // 2 for row in range(len(grid) // width)}
+            for cap in caps:
+                count, coherence, entropy = sample_coherence(ws, max_questions=cap)
+                got = (count, coherence, None if entropy is None else repr(entropy))
+                assert got == _coherence_triple(ws, derive_world_questions(ws, cap))
+
+    @settings(max_examples=100, deadline=None)
+    @given(question_cases(), st.integers(1, 20), st.integers(0, 10**6))
+    def test_given_questions(self, case, k, seed):
+        full, questions = case
+        for ws in (full, full.ranked(), sample_worlds(full, k, seed)):
+            count, coherence, entropy = sample_coherence(ws, questions)
+            assert (count, coherence, repr(entropy)) == _coherence_triple(ws, questions)
+
+    def test_errors(self, cards_universe, worlds_s0):
+        for empty in (WorldSet(cards_universe, []), WorldSet.from_column(cards_universe, 0)):
+            with pytest.raises(EmptyWorldSetError):
+                sample_coherence(empty)
+        with pytest.raises(ValueError):
+            sample_coherence(worlds_s0, max_questions=-1)
