@@ -211,19 +211,12 @@ def plausibility_status(f: WeakFilter, p: Formula) -> PlausibilityStatus:
     return PlausibilityStatus.UNDETERMINED
 
 
-def plausible_facts(
-    worlds: WorldSet, candidates: Iterable[Formula] | None = None
-) -> frozenset:
-    """The candidate formulas true in every world of ``worlds``.
-
-    The candidate set defaults to all ground literals of the universe, so the
-    result is the decided part of the shared theory.
-    """
+def plausible_facts(worlds: WorldSet) -> frozenset:
+    """The ground literals true in every world of ``worlds``: the decided
+    part of the shared theory."""
     if len(worlds) == 0:
         raise EmptyWorldSetError("plausible facts over an empty world set")
     col, table = worlds.own_column, worlds.table
-    if candidates is not None:
-        return frozenset(c for c in candidates if col & ~truth_column(c, table) == 0)
     # A literal true in every member is true in the lowest one, so each atom
     # is tested only on the side that member holds.
     low = next(worlds.select((0,)))

@@ -11,6 +11,11 @@ each question's true count over the sample is an integer, coherence is one
 size. ``sample_coherence`` scores a step's derived questions in closed form
 from the sample's literal counts, building no question, and counts given
 questions once for both values.
+
+Derived questions (a sample's, a kernel's) are the cells of an antecedent x
+consequent grid of ground literals, taken antecedent-major and capped at
+``MAX_QUESTIONS``. ``_grid_cells`` gives that one index scheme: the
+question builder, the closed form and the satellite relevances all read it.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import islice
 from typing import Iterable, Mapping, Sequence
 
 from .conveyance import ReaderState
@@ -38,6 +42,9 @@ from .logic import (
 )
 from .story import formula_to_str
 from .worlds import WorldSet
+
+#: The most questions a derived question set holds.
+MAX_QUESTIONS = 64
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -99,7 +106,8 @@ def relevance(q: Question, prior: WorldSet, truth: World | None = None) -> float
     yields exactly zero because both proportions coincide. The counts are
     those ``classify_satellites`` takes, over a grid of this one question.
     """
-    values = _relevances(prior, *_question_grid((q,), truth))
+    a, b = q.resolve_answers(truth)
+    values = _relevances(prior, [(q.antecedent, a)], [(q.consequent, b)], [(0, 0)])
     if not values:
         raise MetricError(
             "empty conditional sub-population: no prior world matches the antecedent's answer"
@@ -107,31 +115,22 @@ def relevance(q: Question, prior: WorldSet, truth: World | None = None) -> float
     return values[0]
 
 
-def _question_grid(
-    questions: Iterable[Question], truth: World | None = None
-) -> tuple[tuple, tuple, tuple[tuple[int, int], ...]]:
-    """Index questions by side: each distinct (antecedent, answer) and each
-    distinct (consequent, answer) once, in order of first use, plus every
-    question's pair of side indices in question order."""
-    antecedents: dict[tuple[Formula, bool], int] = {}
-    consequents: dict[tuple[Formula, bool], int] = {}
-    pairs = []
-    for q in questions:
-        a, b = q.resolve_answers(truth)
-        i = antecedents.setdefault((q.antecedent, a), len(antecedents))
-        j = consequents.setdefault((q.consequent, b), len(consequents))
-        pairs.append((i, j))
-    return tuple(antecedents), tuple(consequents), tuple(pairs)
+def _grid_cells(rows: int, columns: int) -> list[tuple[int, int]]:
+    """The (row, column) index pairs of a ``rows`` x ``columns`` grid,
+    row-major, capped at ``MAX_QUESTIONS``."""
+    return [divmod(i, columns) for i in range(min(MAX_QUESTIONS, rows * columns))]
 
 
 def _relevances(
     prior: WorldSet,
     antecedents: Sequence[tuple[Formula, bool]],
     consequents: Sequence[tuple[Formula, bool]],
-    pairs: Sequence[tuple[int, int]],
+    cells: Sequence[tuple[int, int]],
 ) -> list[float]:
-    """The relevance of each indexed question over ``prior``, in question
-    order, skipping questions whose antecedent answer no prior world holds.
+    """The relevance over ``prior`` of each question ``(i, j)`` in
+    ``cells``, antecedent ``i`` and consequent ``j`` taken with their
+    answers, in cell order, skipping questions whose antecedent answer no
+    prior world holds.
 
     Each side's column is built once; each antecedent's sub-population, its
     count and its entropy are taken once for all the questions sharing it,
@@ -148,7 +147,7 @@ def _relevances(
     cols = [_answer_column(f, b, table) for f, b in consequents]
     return [
         entropies[i] - binary_entropy((subs[i] & cols[j]).bit_count() / counts[i])
-        for i, j in pairs
+        for i, j in cells
         if counts[i]
     ]
 
@@ -195,14 +194,14 @@ def mean_question_entropy(sample: WorldSet, questions: Iterable[Question]) -> fl
 
 
 def _question_pairs(
-    antecedents: Sequence[Formula], consequents: Sequence[Formula], max_questions: int
+    antecedents: Sequence[Formula], consequents: Sequence[Formula]
 ) -> tuple[Question, ...]:
-    """Questions ``a -> b`` answered (true, true), antecedent-major in the
-    given orders, capped at ``max_questions``."""
-    if max_questions < 0:
-        raise ValueError(f"question cap {max_questions} is negative")
-    pairs = (Question(a, b, (True, True)) for a in antecedents for b in consequents)
-    return tuple(islice(pairs, max_questions))
+    """Questions ``a -> b`` answered (true, true) over the capped grid of
+    the given orders."""
+    return tuple(
+        Question(antecedents[i], consequents[j], (True, True))
+        for i, j in _grid_cells(len(antecedents), len(consequents))
+    )
 
 
 def _literal_split(sample: WorldSet) -> tuple[int, list[Formula], list[tuple[Formula, int]]]:
@@ -225,49 +224,44 @@ def _literal_split(sample: WorldSet) -> tuple[int, list[Formula], list[tuple[For
     return total, unanimous, majority
 
 
-def derive_world_questions(
-    sample: WorldSet, max_questions: int = 64
-) -> tuple[Question, ...]:
+def derive_world_questions(sample: WorldSet) -> tuple[Question, ...]:
     """Derive coherence questions from a sample of worlds.
 
     Antecedents are ground literals every sampled world agrees on; consequents
     are literals a strict majority (but not all) of the sample holds. Pairs
-    are taken in canonical order and capped at ``max_questions``.
+    are taken in canonical order and capped at ``MAX_QUESTIONS``.
     """
     _, unanimous, majority = _literal_split(sample)
     return _question_pairs(
         sorted(unanimous, key=formula_to_str),
         sorted((lit for lit, _ in majority), key=formula_to_str),
-        max_questions,
     )
 
 
 def sample_coherence(
-    sample: WorldSet, questions: Sequence[Question] = (), max_questions: int = 64
+    sample: WorldSet, questions: Sequence[Question] = ()
 ) -> tuple[int, Fraction | None, float | None]:
     """The question count, world coherence and mean question entropy of the
     given questions over the sample, or of its derived questions
-    (``derive_world_questions(sample, max_questions)``) when none are given;
+    (``derive_world_questions(sample)``) when none are given;
     ``(0, None, None)`` when there are no derived questions.
 
     Given questions are counted once. Derived ones are not built: every
     antecedent holds throughout the sample, so ``a -> b`` is true exactly
-    where ``b`` holds, and question ``i`` of the antecedent-major grid has
-    the hit count of majority literal ``i mod |M|``.
+    where ``b`` holds, and the question in cell ``(i, j)`` of the grid has
+    the hit count of majority literal ``j``.
     """
     if questions:
         total, counts = _true_counts(sample, questions)
         entropies = [binary_entropy(c / total) for c in counts]
     else:
-        if max_questions < 0:
-            raise ValueError(f"question cap {max_questions} is negative")
         total, unanimous, majority = _literal_split(sample)
-        n = min(max_questions, len(unanimous) * len(majority))
-        if n == 0:
+        cells = _grid_cells(len(unanimous), len(majority))
+        if not cells:
             return 0, None, None
         majority.sort(key=lambda pair: formula_to_str(pair[0]))
-        row = [(c, binary_entropy(c / total)) for _, c in majority[:n]]
-        counts, entropies = zip(*(row[i % len(row)] for i in range(n)))
+        row = [(c, binary_entropy(c / total)) for _, c in majority]
+        counts, entropies = zip(*(row[j] for _, j in cells))
     return len(counts), Fraction(sum(counts), total * len(counts)), _mean(entropies)
 
 
@@ -377,30 +371,36 @@ def detect_kernels(
     return KernelReport(steps=tuple(steps), theta=theta)
 
 
+def _kernel_sides(
+    states: Sequence[ReaderState], kernel_step: int
+) -> tuple[list[Formula], list[Formula]]:
+    """A kernel's question grid sides in canonical order: the beliefs
+    B(k-1), and the beliefs B(k) minus B(k-1)."""
+    if not 1 <= kernel_step < len(states):
+        raise MetricError(f"kernel step {kernel_step} outside the state series")
+    before = states[kernel_step - 1].beliefs
+    after = states[kernel_step].beliefs
+    return sorted(before, key=formula_to_str), sorted(after - before, key=formula_to_str)
+
+
 def kernel_questions(
     states: Sequence[ReaderState],
     kernel_step: int,
     restrict: Mapping[Atom, bool] | None = None,
-    max_questions: int = 64,
 ) -> tuple[Question, ...]:
     """Questions a kernel poses: pre-kernel beliefs implying the beliefs the
     kernel newly decided.
 
     Antecedents range over B(k-1), consequents over B(k) minus B(k-1); both
-    in canonical order, capped. ``restrict`` (a partial atom assignment)
-    drops consequents that contradict it. Answers are (true, true) by
-    construction: both sides are held beliefs on their own side of the
-    kernel.
+    in canonical order, capped at ``MAX_QUESTIONS``. ``restrict`` (a partial
+    atom assignment) drops consequents that contradict it. Answers are
+    (true, true) by construction: both sides are held beliefs on their own
+    side of the kernel.
     """
-    if not 1 <= kernel_step < len(states):
-        raise MetricError(f"kernel step {kernel_step} outside the state series")
-    before = states[kernel_step - 1].beliefs
-    after = states[kernel_step].beliefs
-    antecedents = sorted(before, key=formula_to_str)
-    consequents = sorted(after - before, key=formula_to_str)
+    antecedents, consequents = _kernel_sides(states, kernel_step)
     if restrict is not None:
         consequents = [c for c in consequents if _consistent_with(c, restrict)]
-    return _question_pairs(antecedents, consequents, max_questions)
+    return _question_pairs(antecedents, consequents)
 
 
 def _consistent_with(literal: Formula, restrict: Mapping[Atom, bool]) -> bool:
@@ -417,7 +417,6 @@ def classify_satellites(
     states: Sequence[ReaderState],
     report: KernelReport,
     epsilon: float = 0.0,
-    max_questions: int = 64,
 ) -> KernelReport:
     """Label non-kernel steps as satellites of the kernels they support.
 
@@ -427,22 +426,26 @@ def classify_satellites(
     whose conditional sub-population is empty at s are skipped; a step with
     no evaluable question is not a satellite. Kernels need no satellites.
 
-    Each kernel's antecedent x consequent grid is indexed once; at each
-    prior, every literal's column is built once and every antecedent's
+    The kernel's questions are the cells of its ``kernel_questions`` grid,
+    read off its two sorted literal lists without building a question; at
+    each prior, every literal's column is built once and every antecedent's
     sub-population counted once, then each question counts its consequent
     within it (the same counts ``relevance`` takes for one question).
     """
     links: list[SatelliteLink] = []
     kernel_steps = set(report.kernels)
     for k in report.kernels:
-        questions = kernel_questions(states, k, max_questions=max_questions)
-        if not questions:
+        antecedents, consequents = _kernel_sides(states, k)
+        cells = _grid_cells(len(antecedents), len(consequents))
+        if not cells:
             continue
-        grid = _question_grid(questions)
+        # the sides the cells use: their rows, and the first row's columns
+        rows, columns = cells[-1][0] + 1, min(len(cells), len(consequents))
+        used = [(a, True) for a in antecedents[:rows]], [(b, True) for b in consequents[:columns]]
         for s in range(1, k):
             if s in kernel_steps:
                 continue
-            values = _relevances(states[s].worlds, *grid)
+            values = _relevances(states[s].worlds, *used, cells)
             if not values:
                 continue
             mean = _mean(values)
@@ -463,44 +466,28 @@ def pullback_restriction(truth_now: World, sample_then: WorldSet) -> dict[Atom, 
 def transitional_coherence(
     sample_then: WorldSet,
     truth_now: World,
-    kernels: KernelReport | None = None,
-    questions: Iterable[Question] | None = None,
-    *,
-    t_then: int | None = None,
-    t_now: int | None = None,
-    states: Sequence[ReaderState] | None = None,
-    max_questions: int = 64,
+    kernels: KernelReport,
+    states: Sequence[ReaderState],
+    t_then: int,
+    t_now: int,
 ) -> Fraction:
     """Mean truth proportion, over the earlier sample, of questions that span
     a kernel.
 
-    With an explicit question set this is a plain coherence evaluation at the
-    earlier time. Otherwise questions are derived: for each kernel k in
-    (t_then, t_now], antecedents are pre-kernel beliefs and consequents are
-    newly decided post-kernel beliefs consistent with the later ground truth
-    pulled back to the atoms ``sample_then`` decides. Derivation requires
-    t_then < t_now, at least one kernel in range, and a non-empty derived
-    set.
+    For each kernel k in (t_then, t_now], antecedents are pre-kernel beliefs
+    and consequents are newly decided post-kernel beliefs consistent with the
+    later ground truth pulled back to the atoms ``sample_then`` decides; the
+    kernels' questions are taken in kernel order and capped at
+    ``MAX_QUESTIONS``. Requires t_then < t_now, at least one kernel in range,
+    and a non-empty question set.
     """
-    if questions is not None:
-        return world_coherence(sample_then, questions)
-
-    if kernels is None or states is None or t_then is None or t_now is None:
-        raise MetricError(
-            "deriving questions needs kernels=, states=, t_then= and t_now="
-        )
     if not t_then < t_now:
         raise MetricError("question derivation needs t_then < t_now")
     in_range = [k for k in kernels.kernels if t_then < k <= t_now]
     if not in_range:
         raise MetricError(f"no kernel in ({t_then}, {t_now}]")
     restrict = pullback_restriction(truth_now, sample_then)
-    qs = []
-    for k in in_range:
-        remaining = max_questions - len(qs)
-        if remaining <= 0:
-            break
-        qs.extend(kernel_questions(states, k, restrict, remaining))
+    qs = [q for k in in_range for q in kernel_questions(states, k, restrict)][:MAX_QUESTIONS]
     if not qs:
         raise MetricError("derived question set is empty")
     return world_coherence(sample_then, qs)

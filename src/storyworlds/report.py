@@ -284,14 +284,7 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
         for k in kernels.kernels:
             row: dict[str, Any] = {"kernel_step": k, "t_then": k - 1, "t_now": k}
             try:
-                value = transitional_coherence(
-                    samples[k - 1],
-                    truth,
-                    kernels,
-                    t_then=k - 1,
-                    t_now=k,
-                    states=states,
-                )
+                value = transitional_coherence(samples[k - 1], truth, kernels, states, k - 1, k)
                 row["value"] = rational(value)
             except MetricError as e:
                 row["value"] = None
@@ -310,14 +303,11 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
 
     final = states[-1]
     up = ultraproduct(extend_to_ultrafilter(final.filter))
-    inside = up in final.worlds
     reconciliation = {
         "checked": True,
-        "in_final_worlds": inside,
+        "in_final_worlds": up in final.worlds,
         "world": [formula_to_str(l) for l in up.literals()],
     }
-    if not inside:
-        warnings.append("reconciled (ultraproduct) world falls outside the final world set")
 
     return {
         "config": {

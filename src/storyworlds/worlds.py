@@ -243,7 +243,8 @@ def agreement_check(shared: WorldSet, rho: Iterable[Formula]) -> bool:
 
 def sample_worlds(s: WorldSet, k: int, seed: int) -> WorldSet:
     """Deterministic, uniform pseudo-random subset of min(k, |s|) worlds,
-    driven by ``seed`` and held in rank space, in canonical order.
+    driven by ``seed``, in canonical order: ``s`` itself when ``k >= |s|``,
+    otherwise held in rank space.
 
     The seed picks ranks; the rank-select turns them into masks, so the set
     is never listed.
@@ -254,6 +255,6 @@ def sample_worlds(s: WorldSet, k: int, seed: int) -> WorldSet:
     if n == 0:
         raise EmptyWorldSetError("cannot sample from an empty world set")
     if k >= n:
-        return s.ranked()
+        return s
     picks = random.Random(seed).sample(range(n), k)
     return WorldSet(s.universe, s.select(sorted(picks)))

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from storyworlds import metrics
 from storyworlds.logic import Not, Universe, World, evaluate
-from storyworlds.metrics import SatelliteLink, binary_entropy, kernel_questions
+from storyworlds.metrics import Question, SatelliteLink, binary_entropy, kernel_questions
+from storyworlds.story import formula_to_str
 
 
 def float_mean(values) -> float:
@@ -61,15 +63,11 @@ def agreement_oracle(worlds, rho) -> bool:
     return all(evaluate(w, r) for w in worlds for r in rho)
 
 
-def plausible_facts_oracle(worlds, candidates=None) -> frozenset:
-    """The candidates (default: every ground literal) true in every world."""
+def plausible_facts_oracle(worlds) -> frozenset:
+    """The ground literals true in every world."""
     worlds = tuple(worlds)
-    if candidates is None:
-        candidates = []
-        for a in worlds[0].universe.atoms:
-            candidates.append(a)
-            candidates.append(Not(a))
-    return frozenset(c for c in candidates if all(evaluate(w, c) for w in worlds))
+    literals = [lit for a in worlds[0].universe.atoms for lit in (a, Not(a))]
+    return frozenset(lit for lit in literals if all(evaluate(w, lit) for w in worlds))
 
 
 def atom_hits_oracle(worlds, universe: Universe) -> tuple[int, ...]:
@@ -97,13 +95,13 @@ def relevance_oracle(q, worlds, truth=None):
     return binary_entropy(p_a) - binary_entropy(truth_proportion_oracle(sub, ind_b))
 
 
-def satellites_oracle(states, report, epsilon, max_questions) -> tuple:
+def satellites_oracle(states, report, epsilon) -> tuple:
     """Satellite links by one ``relevance_oracle`` call per (kernel question,
     earlier non-kernel step), each prior listed world by world."""
     links = []
     kernels = set(report.kernels)
     for k in report.kernels:
-        questions = kernel_questions(states, k, max_questions=max_questions)
+        questions = kernel_questions(states, k)
         for s in range(1, k):
             if s in kernels or not questions:
                 continue
@@ -123,6 +121,46 @@ def pullback_oracle(truth_now: World, worlds) -> dict:
         for a in truth_now.universe.atoms
         if len({evaluate(w, a) for w in worlds}) == 1
     }
+
+
+def transitional_grids_oracle(sample_then, truth_now, states, kernels) -> list:
+    """For each kernel k, in order, its uncapped transitional questions: each
+    literal decided by every world at k-1, implying each literal decided at
+    k but not at k-1 that agrees with the truth on every atom all of
+    ``sample_then`` decides. Beliefs and the pullback come from listed
+    worlds; sides are in canonical order (the literal's text)."""
+    listed = tuple(sample_then)
+    restrict = pullback_oracle(truth_now, listed)
+    grids = []
+    for k in kernels:
+        before = plausible_facts_oracle(tuple(states[k - 1].worlds))
+        after = plausible_facts_oracle(tuple(states[k].worlds)) - before
+        # a literal contradicts the pulled-back truth iff its atom is decided
+        # and the truth world falsifies it
+        consequents = [
+            c
+            for c in after
+            if (c.operand if isinstance(c, Not) else c) not in restrict or evaluate(truth_now, c)
+        ]
+        grids.append(
+            [
+                Question(a, b, (True, True))
+                for a in sorted(before, key=formula_to_str)
+                for b in sorted(consequents, key=formula_to_str)
+            ]
+        )
+    return grids
+
+
+def transitional_oracle(sample_then, truth_now, states, kernels):
+    """Transitional coherence over ``sample_then`` of the kernels' questions,
+    concatenated in kernel order and cut at ``metrics.MAX_QUESTIONS``, each
+    implication evaluated world by world; None when no question is left."""
+    grids = transitional_grids_oracle(sample_then, truth_now, states, kernels)
+    questions = [q for grid in grids for q in grid][: metrics.MAX_QUESTIONS]
+    if not questions:
+        return None
+    return coherence_oracle(questions, sample_then)[0]
 
 
 def weak_filter_oracle(members, base_size: int) -> bool:

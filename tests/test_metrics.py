@@ -3,11 +3,13 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storyworlds import metrics
 from storyworlds.conveyance import Channel, evolve
 from storyworlds.errors import EmptyWorldSetError, MetricError
 from storyworlds.logic import FALSE, TRUE, And, Constant, Implies, Not, Or, World, consistent
@@ -30,7 +32,13 @@ from storyworlds.story import Fabula, Timeline, formula_to_str, parse_story
 from storyworlds.worlds import WorldSet, enumerate_models, sample_worlds
 
 from helpers import chain_universe, random_formula
-from oracles import coherence_oracle, relevance_oracle, satellites_oracle
+from oracles import (
+    coherence_oracle,
+    relevance_oracle,
+    satellites_oracle,
+    transitional_grids_oracle,
+    transitional_oracle,
+)
 
 REVEAL_STORY = """\
 sort person: jay, ali
@@ -205,10 +213,9 @@ class TestDeriveWorldQuestions:
         sample = sample_worlds(worlds_s0, 16, seed=0)
         qs = derive_world_questions(sample)
         assert len(qs) > 2
-        assert derive_world_questions(sample, max_questions=2) == qs[:2]
-        assert derive_world_questions(sample, max_questions=0) == ()
-        with pytest.raises(ValueError):
-            derive_world_questions(sample, max_questions=-1)
+        for cap in (2, 0):
+            with patch.object(metrics, "MAX_QUESTIONS", cap):
+                assert derive_world_questions(sample) == qs[:cap]
 
 
 class TestBooleanLattice:
@@ -357,36 +364,34 @@ class TestSatellites:
 
 
 class TestTransitionalCoherence:
+    # Transitional coherence is the world coherence, over the earlier sample,
+    # of the questions it derives; the first three cases pin that value on
+    # given questions.
     def test_fixture_explicit_question(self, cards_universe, worlds_s0):
-        truth = World(cards_universe, 82)
         q = Question(
             cards_universe.atom("plays", "ali", "jay"),
             cards_universe.atom("wears", "ali", "blue"),
         )
-        assert (
-            transitional_coherence(worlds_s0, truth, questions=[q]) == Fraction(1, 2)
-        )
+        assert world_coherence(worlds_s0, [q]) == Fraction(1, 2)
 
     def test_degenerate_self_comparison(self, cards_universe):
         truth = World(cards_universe, 82)
         sample = WorldSet(cards_universe, [truth.mask])
         q = Question(cards_universe.atom("plays", "ali", "jay"),
                      cards_universe.atom("wears", "ali", "blue"))
-        assert transitional_coherence(sample, truth, questions=[q]) == 1
+        assert world_coherence(sample, [q]) == 1
 
     def test_vacuous_implications(self, cards_universe, worlds_s0):
-        truth = World(cards_universe, 82)
         q = Question(Constant(False), cards_universe.atom("plays", "jay", "jay"))
-        assert transitional_coherence(worlds_s0, truth, questions=[q]) == 1
+        assert world_coherence(worlds_s0, [q]) == 1
 
     def test_derived_questions_across_a_kernel(self):
         states = evolve(parse_story(EQUIVALENCE_STORY), Channel.identity())
         report = detect_kernels(states)
         truth = states[-1].worlds[0]
         sample = states[2].worlds
-        value = transitional_coherence(
-            sample, truth, report, t_then=2, t_now=3, states=states
-        )
+        value = transitional_coherence(sample, truth, report, states, 2, 3)
+        assert value == transitional_oracle(sample, truth, states, [3])
         assert 0 <= value <= 1
 
     def test_no_kernel_in_range_is_an_error(self):
@@ -394,18 +399,14 @@ class TestTransitionalCoherence:
         report = detect_kernels(states)
         truth = states[-1].worlds[0]
         with pytest.raises(MetricError):
-            transitional_coherence(
-                states[0].worlds, truth, report, t_then=0, t_now=1, states=states
-            )
+            transitional_coherence(states[0].worlds, truth, report, states, 0, 1)
 
     def test_derivation_needs_ordered_times(self):
         states = evolve(parse_story(EQUIVALENCE_STORY), Channel.identity())
         report = detect_kernels(states)
         truth = states[-1].worlds[0]
         with pytest.raises(MetricError):
-            transitional_coherence(
-                states[2].worlds, truth, report, t_then=3, t_now=3, states=states
-            )
+            transitional_coherence(states[2].worlds, truth, report, states, 3, 3)
 
     def test_pullback_keeps_only_decided_atoms(self, cards_universe, worlds_s0):
         truth = World(cards_universe, 82)
@@ -425,10 +426,9 @@ def test_kernel_question_answers_default_true():
 def test_kernel_question_cap(reveal_states):
     qs = kernel_questions(reveal_states, 3)
     assert len(qs) > 2
-    assert kernel_questions(reveal_states, 3, max_questions=2) == qs[:2]
-    assert kernel_questions(reveal_states, 3, max_questions=0) == ()
-    with pytest.raises(ValueError):
-        kernel_questions(reveal_states, 3, max_questions=-1)
+    for cap in (2, 0):
+        with patch.object(metrics, "MAX_QUESTIONS", cap):
+            assert kernel_questions(reveal_states, 3) == qs[:cap]
 
 
 def _literal(atom, value: bool):
@@ -479,18 +479,19 @@ def _grid_caps(states, report) -> set[int]:
 
 def _check_against_oracle(states, report, caps):
     for cap in sorted(caps):
-        assert classify_satellites(states, report, 0.0, cap).satellites == (
-            satellites_oracle(states, report, 0.0, cap)
-        )
-        # below every mean, each step with an evaluable question is a link
-        links = classify_satellites(states, report, -math.inf, cap).satellites
-        assert links == satellites_oracle(states, report, -math.inf, cap)
-        for link in links:
-            # epsilon at a link's exact mean drops that link (strictly above)
-            eps = link.mean_relevance
-            got = classify_satellites(states, report, eps, cap).satellites
-            assert got == satellites_oracle(states, report, eps, cap)
-            assert link not in got
+        with patch.object(metrics, "MAX_QUESTIONS", cap):
+            assert classify_satellites(states, report, 0.0).satellites == (
+                satellites_oracle(states, report, 0.0)
+            )
+            # below every mean, each step with an evaluable question is a link
+            links = classify_satellites(states, report, -math.inf).satellites
+            assert links == satellites_oracle(states, report, -math.inf)
+            for link in links:
+                # epsilon at a link's exact mean drops that link (strictly above)
+                eps = link.mean_relevance
+                got = classify_satellites(states, report, eps).satellites
+                assert got == satellites_oracle(states, report, eps)
+                assert link not in got
 
 
 class TestSatellitesAgainstOracle:
@@ -516,6 +517,14 @@ class TestSatellitesAgainstOracle:
             l.question_count < len(kernel_questions(states, l.kernel_step)) for l in links
         )
 
+    def test_builds_no_question(self, twist_timeline):
+        states = evolve(twist_timeline, Channel.identity())
+        report = detect_kernels(states)
+        expected = satellites_oracle(states, report, 0.0)
+        assert expected
+        with patch.object(metrics, "Question", side_effect=AssertionError("built a Question")):
+            assert classify_satellites(states, report).satellites == expected
+
     @settings(max_examples=60, deadline=None)
     @given(state_series(), st.data())
     def test_single_questions(self, states, data):
@@ -534,6 +543,78 @@ class TestSatellitesAgainstOracle:
                     assert relevance(q, state.worlds) == expected
         with pytest.raises(EmptyWorldSetError):
             relevance(q, WorldSet(u, ()))
+
+
+def _transitional_caps(grids) -> set[int]:
+    """Question caps of 0 and 1, one in the middle of each kernel grid's
+    second row, one past each grid (cutting into the next kernel's), and the
+    default."""
+    caps, start = {0, 1, 64}, 0
+    for grid in grids:
+        width = len({q.consequent for q in grid})
+        if len(grid) >= 2 * width >= 4:
+            caps.add(start + width + width // 2)
+        start += len(grid)
+        caps.add(start + 1)
+    return caps
+
+
+def _check_transitional(states, report, sample, truth, t_then, t_now):
+    kernels = [k for k in report.kernels if t_then < k <= t_now]
+    grids = transitional_grids_oracle(sample, truth, states, kernels)
+    for cap in sorted(_transitional_caps(grids)):
+        with patch.object(metrics, "MAX_QUESTIONS", cap):
+            expected = transitional_oracle(sample, truth, states, kernels)
+            if expected is None:
+                with pytest.raises(MetricError):
+                    transitional_coherence(sample, truth, report, states, t_then, t_now)
+            else:
+                got = transitional_coherence(sample, truth, report, states, t_then, t_now)
+                assert got == expected
+
+
+class TestTransitionalAgainstOracle:
+    """Transitional coherence equals ``transitional_oracle`` under question caps
+    of 0, 1, mid-row and past each kernel's grid."""
+
+    def test_reveal_kernel_against_oracle(self, reveal_states):
+        states = reveal_states
+        report = detect_kernels(states)
+        assert report.kernels == (3,)
+        truths = list(states[-1].worlds) + [World(states[0].worlds.universe, 0)]
+        for k in (1, 4, 16, 1000):
+            sample = sample_worlds(states[2].worlds, k, seed=0)
+            for truth in truths:
+                _check_transitional(states, report, sample, truth, 2, 3)
+
+    def test_twist_kernels_against_oracle(self, twist_timeline):
+        states = evolve(twist_timeline, Channel.identity())
+        report = detect_kernels(states)
+        assert report.kernels == (6, 12)
+        truth = states[-1].worlds[0]
+        for t_then, t_now in ((5, 6), (11, 12), (5, 12)):
+            for k in (16, 1 << 12):
+                sample = sample_worlds(states[t_then].worlds, k, seed=0)
+                _check_transitional(states, report, sample, truth, t_then, t_now)
+        # over (5, 12] the default cap of 64 falls inside kernel 12's grid
+        sample = sample_worlds(states[5].worlds, 16, seed=0)
+        first, second = transitional_grids_oracle(sample, truth, states, [6, 12])
+        assert len(first) < metrics.MAX_QUESTIONS < len(first) + len(second)
+
+    @settings(max_examples=100, deadline=None)
+    @given(state_series(), st.data())
+    def test_random_series(self, states, data):
+        theta = data.draw(st.sampled_from((Fraction(0), Fraction(1, 3))))
+        report = detect_kernels(states, theta)
+        u = states[0].worlds.universe
+        truth = World(u, data.draw(st.integers(0, (1 << u.atom_count) - 1)))
+        ks = report.kernels
+        ranges = {(0, len(states) - 1)} | {(k - 1, k) for k in ks}
+        ranges |= {(a - 1, b) for a, b in zip(ks, ks[1:])}
+        for t_then, t_now in sorted(ranges):
+            k = data.draw(st.integers(1, 40))
+            sample = sample_worlds(states[t_then].worlds, k, data.draw(st.integers(0, 10**6)))
+            _check_transitional(states, report, sample, truth, t_then, t_now)
 
 
 @st.composite
@@ -607,16 +688,18 @@ class TestSampleCoherence:
     @given(partly_decided_sets(), st.integers(1, 20), st.integers(0, 10**6))
     def test_derived_questions_in_closed_form(self, full, k, seed):
         for ws in (full, full.ranked(), sample_worlds(full, k, seed)):
-            grid = derive_world_questions(ws, 1 << 20)
+            with patch.object(metrics, "MAX_QUESTIONS", 1 << 20):
+                grid = derive_world_questions(ws)
             width = len({q.consequent for q in grid})
             caps = {0, 1, 64}
             if width >= 2:
                 # caps that end part of the way through a row of the grid
                 caps |= {row * width + width // 2 for row in range(len(grid) // width)}
             for cap in caps:
-                count, coherence, entropy = sample_coherence(ws, max_questions=cap)
-                got = (count, coherence, None if entropy is None else repr(entropy))
-                assert got == _coherence_triple(ws, derive_world_questions(ws, cap))
+                with patch.object(metrics, "MAX_QUESTIONS", cap):
+                    count, coherence, entropy = sample_coherence(ws)
+                    got = (count, coherence, None if entropy is None else repr(entropy))
+                    assert got == _coherence_triple(ws, derive_world_questions(ws))
 
     @settings(max_examples=100, deadline=None)
     @given(question_cases(), st.integers(1, 20), st.integers(0, 10**6))
@@ -626,9 +709,7 @@ class TestSampleCoherence:
             count, coherence, entropy = sample_coherence(ws, questions)
             assert (count, coherence, repr(entropy)) == _coherence_triple(ws, questions)
 
-    def test_errors(self, cards_universe, worlds_s0):
+    def test_errors(self, cards_universe):
         for empty in (WorldSet(cards_universe, []), WorldSet.from_column(cards_universe, 0)):
             with pytest.raises(EmptyWorldSetError):
                 sample_coherence(empty)
-        with pytest.raises(ValueError):
-            sample_coherence(worlds_s0, max_questions=-1)
