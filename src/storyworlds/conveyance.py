@@ -160,7 +160,7 @@ def compress(world: World, importance: Callable[[Atom], bool] | None = None) -> 
     for i, atom in enumerate(u.atoms):
         if importance is not None and not importance(atom):
             continue
-        literals.append(atom if world.mask >> i & 1 else Not(atom))
+        literals.append(atom if world.mask >> i & 1 else u.negations[i])
     return Fabula(u, literals)
 
 

@@ -9,10 +9,12 @@ formulas); this is weaker than a classical filter, which would also be
 closed under intersection.
 
 Plausibility extraction and the reconciliation vote (ultraproduct) live here
-as well: the vote makes a ground atom true exactly when the set of base
-worlds satisfying it belongs to the ultrafilter. Extending a principal filter
-whose generator holds world 0, and voting over a principal ultrafilter, take
-closed forms; every other input goes through the subset scan and the vote.
+as well. Plausible facts of a universe-space set come from folding its truth
+column, one atom per halving; the vote makes a ground atom true exactly when
+the set of base worlds satisfying it belongs to the ultrafilter. Extending a
+principal filter whose generator holds world 0, and voting over a principal
+ultrafilter, take closed forms; every other input goes through the subset
+scan and the vote.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import EmptyWorldSetError, FilterError
-from .logic import Formula, Not, World, truth_column
+from .logic import Formula, World, truth_column
 from .worlds import WorldSet
 
 #: Largest base size for which member families are materialized extensionally.
@@ -216,18 +218,28 @@ def plausible_facts(worlds: WorldSet) -> frozenset:
     part of the shared theory."""
     if len(worlds) == 0:
         raise EmptyWorldSetError("plausible facts over an empty world set")
-    col, table = worlds.own_column, worlds.table
-    # A literal true in every member is true in the lowest one, so each atom
-    # is tested only on the side that member holds.
-    low = next(worlds.select((0,)))
+    u, col, table = worlds.universe, worlds.own_column, worlds.table
     facts = []
-    for i, a in enumerate(worlds.universe.atoms):
-        atom_col = table.atom_column(i)
-        if low >> i & 1:
-            if col & atom_col == col:
-                facts.append(a)
-        elif not col & atom_col:
-            facts.append(Not(a))
+    if table is u:
+        # Fold the column from the top atom down: atom i is decided when one
+        # half of the column is empty, and ``lo | hi`` quantifies it away
+        # (Bryant 1986), so the passes halve in width each time.
+        for i in reversed(range(u.atom_count)):
+            half = 1 << i
+            hi, lo = col >> half, col & ((1 << half) - 1)
+            if not hi:
+                facts.append(u.negations[i])
+            elif not lo:
+                facts.append(u.atoms[i])
+            col = lo | hi
+        return frozenset(facts)
+    # in rank space, one AND of k-bit columns per atom
+    for i, a in enumerate(u.atoms):
+        hits = col & table.atom_column(i)
+        if hits == col:
+            facts.append(a)
+        elif not hits:
+            facts.append(u.negations[i])
     return frozenset(facts)
 
 

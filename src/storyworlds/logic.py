@@ -107,6 +107,9 @@ class Universe:
     atoms are sorted lexicographically by relation name then argument tuple,
     which fixes each atom's index for the life of the universe.
 
+    ``negations`` holds one ``Not(atom)`` per atom, in atom order, built
+    with the universe so that literal-producing code shares those objects.
+
     ``bound`` is the largest atom count that exhaustive operations over the
     universe accept (``DEFAULT_ATOM_BOUND`` when None; ``check_bound`` caps
     it at ``ATOM_CEILING``). It is decided once, here, and is not part of
@@ -114,7 +117,9 @@ class Universe:
     whatever their bounds.
     """
 
-    __slots__ = ("_sorts", "_relations", "_atoms", "_index", "_columns", "_hash", "bound")
+    __slots__ = (
+        "_sorts", "_relations", "_atoms", "_index", "_columns", "_hash", "bound", "negations"
+    )
 
     def __init__(
         self,
@@ -147,6 +152,7 @@ class Universe:
             atoms.extend(_ground_relation(rel, arg_sorts, self._sorts))
         atoms.sort(key=Atom.key)
         self._atoms: tuple[Atom, ...] = tuple(atoms)
+        self.negations: tuple[Not, ...] = tuple(Not(a) for a in atoms)
         self._index: dict[Atom, int] = {a: i for i, a in enumerate(atoms)}
         self._columns: dict[int, int] = {}
         self._hash = hash(
@@ -263,10 +269,8 @@ class World:
 
     def literals(self) -> tuple[Formula, ...]:
         """The world's ground-literal theory, in canonical atom order."""
-        return tuple(
-            a if self.mask >> i & 1 else Not(a)
-            for i, a in enumerate(self.universe.atoms)
-        )
+        u = self.universe
+        return tuple(a if self.mask >> i & 1 else u.negations[i] for i, a in enumerate(u.atoms))
 
 
 def map_atoms(f: Formula, fn: Callable[[Atom], Atom]) -> Formula:

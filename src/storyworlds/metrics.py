@@ -14,8 +14,11 @@ questions once for both values.
 
 Derived questions (a sample's, a kernel's) are the cells of an antecedent x
 consequent grid of ground literals, taken antecedent-major and capped at
-``MAX_QUESTIONS``. ``_grid_cells`` gives that one index scheme: the
-question builder, the closed form and the satellite relevances all read it.
+``MAX_QUESTIONS``; the closed form, the satellite relevances and
+transitional coherence read the cells off the grid's sides without building
+a question. Satellite relevance builds each used literal's column once per
+kernel and scores one row of the grid per distinct sub-population a prior's
+antecedents select.
 """
 
 from __future__ import annotations
@@ -30,7 +33,6 @@ from .errors import EmptyWorldSetError, MetricError
 from .filters import plausible_facts
 from .logic import (
     Atom,
-    ColumnTable,
     Formula,
     Implies,
     Not,
@@ -107,7 +109,9 @@ def relevance(q: Question, prior: WorldSet, truth: World | None = None) -> float
     those ``classify_satellites`` takes, over a grid of this one question.
     """
     a, b = q.resolve_answers(truth)
-    values = _relevances(prior, [(q.antecedent, a)], [(q.consequent, b)], [(0, 0)])
+    col_a, col_b = (truth_column(f, prior.table) for f in (q.antecedent, q.consequent))
+    sides = [col_a if a else ~col_a], [col_b if b else ~col_b]
+    values = _relevances(prior.own_column, len(prior), *sides, 1)
     if not values:
         raise MetricError(
             "empty conditional sub-population: no prior world matches the antecedent's answer"
@@ -122,40 +126,30 @@ def _grid_cells(rows: int, columns: int) -> list[tuple[int, int]]:
 
 
 def _relevances(
-    prior: WorldSet,
-    antecedents: Sequence[tuple[Formula, bool]],
-    consequents: Sequence[tuple[Formula, bool]],
-    cells: Sequence[tuple[int, int]],
+    members: int, total: int, antecedents: Sequence[int], consequents: Sequence[int], cells: int
 ) -> list[float]:
-    """The relevance over ``prior`` of each question ``(i, j)`` in
-    ``cells``, antecedent ``i`` and consequent ``j`` taken with their
-    answers, in cell order, skipping questions whose antecedent answer no
-    prior world holds.
-
-    Each side's column is built once; each antecedent's sub-population, its
-    count and its entropy are taken once for all the questions sharing it,
-    so a question costs one intersection count and one entropy.
-    """
-    total = len(prior)
+    """The relevances, in cell order, of the first ``cells`` questions of a
+    row-major grid over a prior of ``total`` worlds, the column ``members``;
+    questions whose antecedent no prior world holds are skipped. Each side
+    is the column, in the prior's space, where it takes its answer; the
+    antecedents are the rows the cells reach. Rows whose antecedents select
+    the same sub-population share one row of values, counted once."""
     if total == 0:
         raise EmptyWorldSetError("relevance needs a non-empty prior")
-    members, table = prior.own_column, prior.table
-    subs = [members & _answer_column(f, a, table) for f, a in antecedents]
-    counts = [sub.bit_count() for sub in subs]
-    # int / int is correctly rounded, so these equal float(Fraction(...)).
-    entropies = [binary_entropy(n_a / total) for n_a in counts]
-    cols = [_answer_column(f, b, table) for f, b in consequents]
-    return [
-        entropies[i] - binary_entropy((subs[i] & cols[j]).bit_count() / counts[i])
-        for i, j in cells
-        if counts[i]
-    ]
-
-
-def _answer_column(f: Formula, answer: bool, table: ColumnTable) -> int:
-    """The column of the worlds where ``f`` takes ``answer``."""
-    col = truth_column(f, table)
-    return col if answer else ~col
+    width = len(consequents)
+    rows: dict[int, list[float]] = {}
+    values: list[float] = []
+    for i, a in enumerate(antecedents):
+        sub = members & a
+        row = rows.get(sub)
+        if row is None:
+            row = rows[sub] = []
+            if n_a := sub.bit_count():
+                # int / int is correctly rounded, so these equal float(Fraction(...)).
+                h = binary_entropy(n_a / total)
+                row.extend(h - binary_entropy((sub & b).bit_count() / n_a) for b in consequents)
+        values.extend(row[: cells - i * width])
+    return values
 
 
 def _true_counts(sample: WorldSet, questions: Iterable[Question]) -> tuple[int, list[int]]:
@@ -211,12 +205,12 @@ def _literal_split(sample: WorldSet) -> tuple[int, list[Formula], list[tuple[For
     total = len(sample)
     if total == 0:
         raise EmptyWorldSetError("cannot derive questions from an empty sample")
-    members, table = sample.own_column, sample.table
+    members, table, u = sample.own_column, sample.table, sample.universe
     unanimous: list[Formula] = []
     majority: list[tuple[Formula, int]] = []
-    for i, atom in enumerate(sample.universe.atoms):
+    for i, atom in enumerate(u.atoms):
         hits = (members & table.atom_column(i)).bit_count()
-        for lit, count in ((atom, hits), (Not(atom), total - hits)):
+        for lit, count in ((atom, hits), (u.negations[i], total - hits)):
             if count == total:
                 unanimous.append(lit)
             elif 2 * count > total:
@@ -372,15 +366,18 @@ def detect_kernels(
 
 
 def _kernel_sides(
-    states: Sequence[ReaderState], kernel_step: int
+    states: Sequence[ReaderState], kernel_step: int, restrict: Mapping[Atom, bool] | None = None
 ) -> tuple[list[Formula], list[Formula]]:
     """A kernel's question grid sides in canonical order: the beliefs
-    B(k-1), and the beliefs B(k) minus B(k-1)."""
+    B(k-1), and the beliefs B(k) minus B(k-1), less those that contradict
+    ``restrict`` (a partial atom assignment)."""
     if not 1 <= kernel_step < len(states):
         raise MetricError(f"kernel step {kernel_step} outside the state series")
     before = states[kernel_step - 1].beliefs
-    after = states[kernel_step].beliefs
-    return sorted(before, key=formula_to_str), sorted(after - before, key=formula_to_str)
+    after = states[kernel_step].beliefs - before
+    if restrict is not None:
+        after = [c for c in after if _consistent_with(c, restrict)]
+    return sorted(before, key=formula_to_str), sorted(after, key=formula_to_str)
 
 
 def kernel_questions(
@@ -397,10 +394,7 @@ def kernel_questions(
     (true, true) by construction: both sides are held beliefs on their own
     side of the kernel.
     """
-    antecedents, consequents = _kernel_sides(states, kernel_step)
-    if restrict is not None:
-        consequents = [c for c in consequents if _consistent_with(c, restrict)]
-    return _question_pairs(antecedents, consequents)
+    return _question_pairs(*_kernel_sides(states, kernel_step, restrict))
 
 
 def _consistent_with(literal: Formula, restrict: Mapping[Atom, bool]) -> bool:
@@ -427,25 +421,29 @@ def classify_satellites(
     no evaluable question is not a satellite. Kernels need no satellites.
 
     The kernel's questions are the cells of its ``kernel_questions`` grid,
-    read off its two sorted literal lists without building a question; at
-    each prior, every literal's column is built once and every antecedent's
-    sub-population counted once, then each question counts its consequent
-    within it (the same counts ``relevance`` takes for one question).
+    read off its two sorted literal lists without building a question. The
+    columns of the literals the cells use are built once per kernel over the
+    universe; at each prior, each distinct sub-population the antecedents
+    select is counted once, then each question counts its consequent within
+    it (the same counts ``relevance`` takes for one question).
     """
     links: list[SatelliteLink] = []
     kernel_steps = set(report.kernels)
     for k in report.kernels:
         antecedents, consequents = _kernel_sides(states, k)
-        cells = _grid_cells(len(antecedents), len(consequents))
+        cells = min(MAX_QUESTIONS, len(antecedents) * len(consequents))
         if not cells:
             continue
         # the sides the cells use: their rows, and the first row's columns
-        rows, columns = cells[-1][0] + 1, min(len(cells), len(consequents))
-        used = [(a, True) for a in antecedents[:rows]], [(b, True) for b in consequents[:columns]]
+        u = states[k].worlds.universe
+        rows, columns = (cells - 1) // len(consequents) + 1, min(cells, len(consequents))
+        a_cols = [truth_column(a, u) for a in antecedents[:rows]]
+        b_cols = [truth_column(b, u) for b in consequents[:columns]]
         for s in range(1, k):
             if s in kernel_steps:
                 continue
-            values = _relevances(states[s].worlds, *used, cells)
+            prior = states[s].worlds
+            values = _relevances(prior.column, len(prior), a_cols, b_cols, cells)
             if not values:
                 continue
             mean = _mean(values)
@@ -487,7 +485,17 @@ def transitional_coherence(
     if not in_range:
         raise MetricError(f"no kernel in ({t_then}, {t_now}]")
     restrict = pullback_restriction(truth_now, sample_then)
-    qs = [q for k in in_range for q in kernel_questions(states, k, restrict)][:MAX_QUESTIONS]
-    if not qs:
+    members, table = sample_then.own_column, sample_then.table
+    # Each question a -> b is true on the members outside a or inside b.
+    counts: list[int] = []
+    for k in in_range:
+        antecedents, consequents = _kernel_sides(states, k, restrict)
+        inside = [members & truth_column(b, table) for b in consequents]
+        for a in antecedents:
+            if len(counts) == MAX_QUESTIONS or not inside:
+                break
+            outside = members & ~truth_column(a, table)
+            counts.extend((outside | b).bit_count() for b in inside[: MAX_QUESTIONS - len(counts)])
+    if not counts:
         raise MetricError("derived question set is empty")
-    return world_coherence(sample_then, qs)
+    return Fraction(sum(counts), len(sample_then) * len(counts))

@@ -45,6 +45,7 @@ from .logic import (
     Universe,
     consistent,
     models_column,
+    truth_column,
 )
 
 _PREC_IMPLIES = 1
@@ -302,10 +303,21 @@ def apply_transition(fabula: Fabula, edit: TransitionEdit) -> Fabula:
     """Apply ``edit`` to ``fabula``: remove, then add.
 
     Raises InconsistentFabulaError when the result has no satisfying world.
-    Removing an absent formula is a no-op.
+    Removing an absent formula is a no-op. When the edit removes nothing
+    present, the new column is the old one ANDed with the new additions'
+    columns; an edit that removes, or an inconsistent one, rebuilds.
     """
-    props = (fabula.propositions - edit.removals) | edit.additions
-    return Fabula(fabula.universe, props)
+    old, u = fabula.propositions, fabula.universe
+    props = (old - edit.removals) | edit.additions
+    if old.isdisjoint(edit.removals):
+        column = fabula.column
+        for f in edit.additions - old:
+            column &= truth_column(f, u)
+        if column:
+            result = Fabula.__new__(Fabula)
+            result.universe, result.propositions, result.column = u, props, column
+            return result
+    return Fabula(u, props)
 
 
 @dataclass(frozen=True)
@@ -347,6 +359,7 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
     universe: Universe | None = None
 
     blocks: list[tuple[int, int, list[tuple[str, Formula, int]]]] = []
+    parsed: dict[str, Formula] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
@@ -417,7 +430,10 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
                 )
             sign = stripped[0]
             body = stripped[1:]
-            f = parse_formula(body, universe, line_no, indent + 1)
+            # each distinct assertion text is parsed once
+            f = parsed.get(body)
+            if f is None:
+                f = parsed[body] = parse_formula(body, universe, line_no, indent + 1)
             blocks[-1][2].append((sign, f, line_no))
             continue
 

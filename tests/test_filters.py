@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from storyworlds.errors import FilterError
 from storyworlds.filters import (
@@ -18,11 +20,11 @@ from storyworlds.filters import (
     support_mask,
     ultraproduct,
 )
-from storyworlds.logic import And, Not, evaluate
+from storyworlds.logic import And, Not, World, evaluate
 from storyworlds.worlds import WorldSet, agreement_check
 
 from helpers import chain_universe
-from oracles import weak_filter_oracle, weak_ultrafilter_oracle
+from oracles import plausible_facts_oracle, weak_filter_oracle, weak_ultrafilter_oracle
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +188,29 @@ class TestPlausibleFacts:
     def test_explicit_candidates(self, cards_universe, worlds_s0):
         q = cards_universe.atom("wears", "jay", "blue")
         assert [c for c in (q, Not(q)) if agreement_check(worlds_s0, [c])] == [q]
+
+    def test_fold_at_every_bit_position(self):
+        # a single world decides every atom, wherever its bit lies in the column
+        u = chain_universe(10)
+        for m in range(1 << 10):
+            facts = plausible_facts(WorldSet.from_column(u, 1 << m))
+            assert facts == frozenset(World(u, m).literals())
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(9, 12), st.integers(0, 2**32 - 1))
+    def test_fold_against_oracle_past_eight_atoms(self, n, seed):
+        """Universe-space sets inside a random partial assignment, of random
+        density, against the world-by-world oracle."""
+        rng = random.Random(seed)
+        u = chain_universe(n)
+        col = u.full_column()
+        for i in rng.sample(range(n), rng.randrange(n + 1)):
+            col &= u.atom_column(i) if rng.random() < 0.5 else ~u.atom_column(i)
+        bits = rng.getrandbits(1 << n)
+        for _ in range(rng.randrange(6)):
+            bits &= rng.getrandbits(1 << n)
+        ws = WorldSet.from_column(u, col & bits | col & -col)
+        assert plausible_facts(ws) == plausible_facts_oracle(tuple(ws))
 
 
 class TestPlausibilityStatus:

@@ -525,6 +525,20 @@ class TestSatellitesAgainstOracle:
         with patch.object(metrics, "Question", side_effect=AssertionError("built a Question")):
             assert classify_satellites(states, report).satellites == expected
 
+    def test_builds_each_literal_column_once_per_kernel(self, twist_timeline):
+        states = evolve(twist_timeline, Channel.identity())
+        report = detect_kernels(states)
+        expected = classify_satellites(states, report).satellites
+        used = 0
+        for k in report.kernels:
+            rows = len(states[k - 1].beliefs)
+            width = len(states[k].beliefs - states[k - 1].beliefs)
+            cells = min(metrics.MAX_QUESTIONS, rows * width)
+            used += -(-cells // width) + min(cells, width)
+        with patch.object(metrics, "truth_column", wraps=metrics.truth_column) as spy:
+            assert classify_satellites(states, report).satellites == expected
+        assert 0 < spy.call_count <= used
+
     @settings(max_examples=60, deadline=None)
     @given(state_series(), st.data())
     def test_single_questions(self, states, data):
@@ -600,6 +614,19 @@ class TestTransitionalAgainstOracle:
         sample = sample_worlds(states[5].worlds, 16, seed=0)
         first, second = transitional_grids_oracle(sample, truth, states, [6, 12])
         assert len(first) < metrics.MAX_QUESTIONS < len(first) + len(second)
+
+    def test_builds_no_question(self, twist_timeline):
+        states = evolve(twist_timeline, Channel.identity())
+        report = detect_kernels(states)
+        truth = states[-1].worlds[0]
+        for t_then, t_now in ((5, 6), (11, 12), (5, 12)):
+            sample = sample_worlds(states[t_then].worlds, 16, seed=0)
+            kernels = [k for k in report.kernels if t_then < k <= t_now]
+            expected = transitional_oracle(sample, truth, states, kernels)
+            assert expected is not None
+            with patch.object(metrics, "Question", side_effect=AssertionError("built a Question")):
+                got = transitional_coherence(sample, truth, report, states, t_then, t_now)
+            assert got == expected
 
     @settings(max_examples=100, deadline=None)
     @given(state_series(), st.data())

@@ -31,6 +31,8 @@ from storyworlds.story import (
 
 from helpers import (
     chain_story,
+    random_consistent_formulas,
+    random_formula,
     random_monotone_timeline,
     random_timeline,
     random_universe,
@@ -342,6 +344,50 @@ class TestDeltaAndTransitions:
             t = random_monotone_timeline(rng, u, 5)
             for prev, cur in zip(t.steps, t.steps[1:]):
                 assert apply_transition(prev, delta(prev, cur)) == cur
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(("no removals", "present", "absent", "inconsistent", "unknown atom")),
+    )
+    def test_incremental_column_matches_rebuild(self, seed, case):
+        """An edit that removes nothing present ANDs only its additions'
+        columns into the old one; every edit gives the column, or the error,
+        that building the result from scratch gives."""
+        rng = random.Random(seed)
+        u = random_universe(rng, 8)
+        fab = Fabula(u, random_consistent_formulas(rng, u, rng.randrange(0, 5)))
+        old = sorted(fab.propositions, key=formula_to_str)
+        additions = set(random_consistent_formulas(rng, u, rng.randrange(0, 4)))
+        if old and rng.random() < 0.5:
+            additions.add(rng.choice(old))  # already present
+        removals = set()
+        if case == "present" and old:
+            removals = set(rng.sample(old, rng.randrange(1, len(old) + 1)))
+        elif case == "absent":
+            removals = {random_formula(rng, u, 2)} - fab.propositions - additions
+        elif case == "inconsistent":
+            additions.add(Not(old[0]) if old else FALSE)
+        elif case == "unknown atom":
+            additions.add(Atom("absent", ("x",)))
+        additions -= removals
+        props = (fab.propositions - removals) | additions
+        try:
+            expected = Fabula(u, props)
+        except (InconsistentFabulaError, UnknownAtomError) as e:
+            expected = e
+        try:
+            got = apply_transition(fab, TransitionEdit(additions, removals))
+        except (InconsistentFabulaError, UnknownAtomError) as e:
+            got = e
+        if isinstance(expected, Fabula):
+            assert got == expected and got.column == expected.column
+            return
+        assert type(got) is type(expected) and str(got) == str(expected)
+        if isinstance(expected, InconsistentFabulaError):
+            assert got.conflict == expected.conflict
+        assert case != "unknown atom" or isinstance(got, UnknownAtomError)
+        assert case != "inconsistent" or isinstance(got, InconsistentFabulaError)
 
     def test_monotone_timelines_grow(self):
         rng = random.Random(43)
