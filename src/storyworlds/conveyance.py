@@ -5,11 +5,12 @@ world into a fabula of literals, the fabula crosses a (possibly lossy or
 corrupting) channel, and the reader reconstructs the set of worlds consistent
 with what arrived. The accuracy report compares the reader's decided beliefs
 with the narrator's world, atom by atom, over the atoms the narrator sent
-(a rename target that is not also a source is never sent): agreement on a
-decided atom is a match, disagreement a mismatch, silence undetermined. The
-conveyance commutes (the mediated path agrees with direct transfer) exactly
-when nothing is mismatched; undetermined atoms measure lossiness, not error,
-and are excluded from the accuracy denominator.
+(a rename target that is not also a source is never sent), each a bit test
+of the world's mask against the reader's cube of two atom masks: agreement
+on a decided atom is a match, disagreement a mismatch, silence undetermined.
+The conveyance commutes (the mediated path agrees with direct transfer)
+exactly when nothing is mismatched; undetermined atoms measure lossiness,
+not error, and are excluded from the accuracy denominator.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .errors import ChannelError, InconsistentFabulaError, InconsistentStepError
-from .filters import WeakFilter, plausible_facts
-from .logic import Atom, Formula, Not, Universe, World, map_atoms, negate
+from .filters import WeakFilter, cube_literals, plausible_facts
+from .logic import Atom, Formula, Universe, World, map_atoms, negate
 from .story import (
     Fabula,
     Timeline,
@@ -211,11 +212,16 @@ def transmit(
 @dataclass(frozen=True)
 class ReaderState:
     """The reader at one time step: fabula, consistent worlds, and the
-    decided ground literals."""
+    decided beliefs as a ``plausible_facts`` cube (two atom masks)."""
 
     fabula: Fabula
     worlds: WorldSet
-    beliefs: frozenset
+    cube: tuple[int, int]
+
+    @property
+    def beliefs(self) -> frozenset:
+        """The decided ground literals, listed from the cube."""
+        return cube_literals(self.worlds.universe, self.cube)
 
     @property
     def filter(self) -> WeakFilter:
@@ -261,18 +267,18 @@ def accuracy_report(
     table = dict(correspondence) if correspondence else {}
     unsent = unsent_relations(table)
     reader_universe = reader.fabula.universe
+    (true, false), mask = reader.cube, narrator_world.mask
     matched = mismatched = undetermined = 0
     bad: list[Atom] = []
-    for atom in narrator_world.universe.atoms:
+    for i, atom in enumerate(narrator_world.universe.atoms):
         if atom.relation in unsent:
             continue
-        target = Atom(table.get(atom.relation, atom.relation), atom.args)
-        reader_universe.check_atom(target)
-        value = narrator_world.truth(atom)
-        lit, anti = (target, Not(target)) if value else (Not(target), target)
-        if lit in reader.beliefs:
+        # the reader's index of the atom the correspondence maps it to
+        j = reader_universe.atom_index(Atom(table.get(atom.relation, atom.relation), atom.args))
+        agree, disagree = (true, false) if mask >> i & 1 else (false, true)
+        if agree >> j & 1:
             matched += 1
-        elif anti in reader.beliefs:
+        elif disagree >> j & 1:
             mismatched += 1
             bad.append(atom)
         else:

@@ -9,8 +9,9 @@ formulas); this is weaker than a classical filter, which would also be
 closed under intersection.
 
 Plausibility extraction and the reconciliation vote (ultraproduct) live here
-as well. Plausible facts of a universe-space set come from folding its truth
-column, one atom per halving; the vote makes a ground atom true exactly when
+as well. Plausible facts are a cube of two atom masks (the set's backbone),
+folded from a universe-space column one atom per halving; every belief
+consumer reads the masks. The vote makes a ground atom true exactly when
 the set of base worlds satisfying it belongs to the ultrafilter. Extending a
 principal filter whose generator holds world 0, and voting over a principal
 ultrafilter, take closed forms; every other input goes through the subset
@@ -23,7 +24,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import EmptyWorldSetError, FilterError
-from .logic import Formula, World, truth_column
+from .logic import Formula, Universe, World, truth_column
 from .worlds import WorldSet
 
 #: Largest base size for which member families are materialized extensionally.
@@ -213,13 +214,14 @@ def plausibility_status(f: WeakFilter, p: Formula) -> PlausibilityStatus:
     return PlausibilityStatus.UNDETERMINED
 
 
-def plausible_facts(worlds: WorldSet) -> frozenset:
-    """The ground literals true in every world of ``worlds``: the decided
-    part of the shared theory."""
+def plausible_facts(worlds: WorldSet) -> tuple[int, int]:
+    """The decided part of the shared theory as a cube ``(true_mask,
+    false_mask)``: bit ``i`` is set when atom ``i`` holds in every world of
+    ``worlds``, or in none. ``cube_literals`` lists it as ground literals."""
     if len(worlds) == 0:
         raise EmptyWorldSetError("plausible facts over an empty world set")
     u, col, table = worlds.universe, worlds.own_column, worlds.table
-    facts = []
+    true = false = 0
     if table is u:
         # Fold the column from the top atom down: atom i is decided when one
         # half of the column is empty, and ``lo | hi`` quantifies it away
@@ -228,19 +230,26 @@ def plausible_facts(worlds: WorldSet) -> frozenset:
             half = 1 << i
             hi, lo = col >> half, col & ((1 << half) - 1)
             if not hi:
-                facts.append(u.negations[i])
+                false |= 1 << i
             elif not lo:
-                facts.append(u.atoms[i])
+                true |= 1 << i
             col = lo | hi
-        return frozenset(facts)
+        return true, false
     # in rank space, one AND of k-bit columns per atom
-    for i, a in enumerate(u.atoms):
+    for i in range(u.atom_count):
         hits = col & table.atom_column(i)
         if hits == col:
-            facts.append(a)
+            true |= 1 << i
         elif not hits:
-            facts.append(u.negations[i])
-    return frozenset(facts)
+            false |= 1 << i
+    return true, false
+
+
+def cube_literals(universe: Universe, cube: tuple[int, int]) -> frozenset:
+    """The ground literals a ``plausible_facts`` cube decides."""
+    true, false = cube
+    atoms = [a for i, a in enumerate(universe.atoms) if true >> i & 1]
+    return frozenset(atoms + [f for i, f in enumerate(universe.negations) if false >> i & 1])
 
 
 def extend_to_ultrafilter(f: WeakFilter) -> WeakUltrafilter:

@@ -16,9 +16,12 @@ Derived questions (a sample's, a kernel's) are the cells of an antecedent x
 consequent grid of ground literals, taken antecedent-major and capped at
 ``MAX_QUESTIONS``; the closed form, the satellite relevances and
 transitional coherence read the cells off the grid's sides without building
-a question. Satellite relevance builds each used literal's column once per
-kernel and scores one row of the grid per distinct sub-population a prior's
-antecedents select.
+a question. Beliefs are ``plausible_facts`` cubes, two atom masks: a grid
+side is a mask of literal codes read in the universe's canonical literal
+order (sorted once per universe), and kernel churn is popcounts of the
+masks' XOR and OR. At each satellite prior, the prior's cube decides every
+cell whose antecedent or consequent atom it decides; only the other cells
+are counted.
 """
 
 from __future__ import annotations
@@ -26,16 +29,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 from .conveyance import ReaderState
 from .errors import EmptyWorldSetError, MetricError
 from .filters import plausible_facts
 from .logic import (
-    Atom,
     Formula,
     Implies,
-    Not,
     Universe,
     World,
     check_bound,
@@ -110,13 +112,16 @@ def relevance(q: Question, prior: WorldSet, truth: World | None = None) -> float
     """
     a, b = q.resolve_answers(truth)
     col_a, col_b = (truth_column(f, prior.table) for f in (q.antecedent, q.consequent))
-    sides = [col_a if a else ~col_a], [col_b if b else ~col_b]
-    values = _relevances(prior.own_column, len(prior), *sides, 1)
-    if not values:
+    if not (total := len(prior)):
+        raise EmptyWorldSetError("relevance needs a non-empty prior")
+    sub = prior.own_column & (col_a if a else ~col_a)
+    if not (n_a := sub.bit_count()):
         raise MetricError(
             "empty conditional sub-population: no prior world matches the antecedent's answer"
         )
-    return values[0]
+    # int / int is correctly rounded, so these equal float(Fraction(...)).
+    hits = (sub & (col_b if b else ~col_b)).bit_count()
+    return binary_entropy(n_a / total) - binary_entropy(hits / n_a)
 
 
 def _grid_cells(rows: int, columns: int) -> list[tuple[int, int]]:
@@ -125,30 +130,66 @@ def _grid_cells(rows: int, columns: int) -> list[tuple[int, int]]:
     return [divmod(i, columns) for i in range(min(MAX_QUESTIONS, rows * columns))]
 
 
+@lru_cache(maxsize=1)
+def _literal_order(universe: Universe) -> tuple[int, ...]:
+    """The codes of the universe's ground literals in canonical
+    (``formula_to_str``) order: atom ``i`` is code ``i``, its negation
+    ``n + i``. One entry: an analysis reads one universe, and more would
+    keep earlier universes and their atom columns alive."""
+    literals = universe.atoms + universe.negations
+    return tuple(sorted(range(len(literals)), key=lambda j: formula_to_str(literals[j])))
+
+
+def _literal_mask(state: ReaderState) -> int:
+    """The reader's decided beliefs as a mask of literal codes."""
+    return state.cube[0] | state.cube[1] << state.worlds.universe.atom_count
+
+
+def _holding(members: int, column: int, code: int, n: int) -> int:
+    """The members where literal ``code`` holds, given its atom's column."""
+    hits = members & column
+    return hits if code < n else members ^ hits
+
+
 def _relevances(
-    members: int, total: int, antecedents: Sequence[int], consequents: Sequence[int], cells: int
+    state: ReaderState,
+    antecedents: Sequence[tuple[int, int]],
+    consequents: Sequence[tuple[int, int]],
+    cells: int,
 ) -> list[float]:
     """The relevances, in cell order, of the first ``cells`` questions of a
-    row-major grid over a prior of ``total`` worlds, the column ``members``;
-    questions whose antecedent no prior world holds are skipped. Each side
-    is the column, in the prior's space, where it takes its answer; the
-    antecedents are the rows the cells reach. Rows whose antecedents select
-    the same sub-population share one row of values, counted once."""
-    if total == 0:
-        raise EmptyWorldSetError("relevance needs a non-empty prior")
+    row-major grid of (literal code, atom column) pairs, with the world set
+    at ``state`` as the prior. The prior's cube decides cells uncounted: an
+    antecedent it decides false has no cells, those it decides true select
+    the whole prior and share one row, and a consequent it decides is
+    constant there, so its cell is ``h - 0.0``."""
+    prior = state.worlds
+    members, total, n = prior.column, len(prior), prior.universe.atom_count
+    true, false = state.cube
+    held, decided = true | false << n, true | false
+
+    def row(sub: int, n_a: int) -> list[float]:
+        # int / int is correctly rounded, so these equal float(Fraction(...)).
+        h = binary_entropy(n_a / total)
+        out = []
+        for b, col in consequents:
+            if decided >> b % n & 1:
+                out.append(h)
+            else:
+                hits = (sub & col).bit_count()
+                out.append(h - binary_entropy((hits if b < n else n_a - hits) / n_a))
+        return out
+
     width = len(consequents)
-    rows: dict[int, list[float]] = {}
+    whole: list[float] = []  # the row of the whole prior, once an antecedent selects it
     values: list[float] = []
-    for i, a in enumerate(antecedents):
-        sub = members & a
-        row = rows.get(sub)
-        if row is None:
-            row = rows[sub] = []
-            if n_a := sub.bit_count():
-                # int / int is correctly rounded, so these equal float(Fraction(...)).
-                h = binary_entropy(n_a / total)
-                row.extend(h - binary_entropy((sub & b).bit_count() / n_a) for b in consequents)
-        values.extend(row[: cells - i * width])
+    for r, (a, column) in enumerate(antecedents):
+        if held >> a & 1:
+            whole = whole or row(members, total)
+            values.extend(whole[: cells - r * width])
+        elif not decided >> a % n & 1:
+            sub = _holding(members, column, a, n)
+            values.extend(row(sub, sub.bit_count())[: cells - r * width])
     return values
 
 
@@ -188,34 +229,39 @@ def mean_question_entropy(sample: WorldSet, questions: Iterable[Question]) -> fl
 
 
 def _question_pairs(
-    antecedents: Sequence[Formula], consequents: Sequence[Formula]
+    universe: Universe, antecedents: Sequence[int], consequents: Sequence[int]
 ) -> tuple[Question, ...]:
     """Questions ``a -> b`` answered (true, true) over the capped grid of
-    the given orders."""
+    the given literal codes."""
+    literals = universe.atoms + universe.negations
     return tuple(
-        Question(antecedents[i], consequents[j], (True, True))
+        Question(literals[antecedents[i]], literals[consequents[j]], (True, True))
         for i, j in _grid_cells(len(antecedents), len(consequents))
     )
 
 
-def _literal_split(sample: WorldSet) -> tuple[int, list[Formula], list[tuple[Formula, int]]]:
-    """The sample size, the ground literals every sampled world holds, and
-    the literals a strict majority (but not all) of it holds with their hit
-    counts; one popcount per atom, both lists unsorted."""
+def _literal_split(
+    sample: WorldSet, cube: tuple[int, int] = (0, 0)
+) -> tuple[int, list[int], list[int], list[int]]:
+    """The sample size, the literal codes every sampled world holds and
+    those a strict majority (but not all) holds, in canonical order, and
+    each code's hit count. Atoms the cube of the sample's set decides are
+    read off it; each other atom costs one popcount."""
     total = len(sample)
     if total == 0:
         raise EmptyWorldSetError("cannot derive questions from an empty sample")
     members, table, u = sample.own_column, sample.table, sample.universe
-    unanimous: list[Formula] = []
-    majority: list[tuple[Formula, int]] = []
-    for i, atom in enumerate(u.atoms):
-        hits = (members & table.atom_column(i)).bit_count()
-        for lit, count in ((atom, hits), (u.negations[i], total - hits)):
-            if count == total:
-                unanimous.append(lit)
-            elif 2 * count > total:
-                majority.append((lit, count))
-    return total, unanimous, majority
+    true, false = cube
+    hits = [
+        total * (true >> i & 1) if (true | false) >> i & 1
+        else (members & table.atom_column(i)).bit_count()
+        for i in range(u.atom_count)
+    ]
+    counts = hits + [total - h for h in hits]
+    order = _literal_order(u)
+    unanimous = [j for j in order if counts[j] == total]
+    majority = [j for j in order if total < 2 * counts[j] < 2 * total]
+    return total, unanimous, majority, counts
 
 
 def derive_world_questions(sample: WorldSet) -> tuple[Question, ...]:
@@ -225,15 +271,12 @@ def derive_world_questions(sample: WorldSet) -> tuple[Question, ...]:
     are literals a strict majority (but not all) of the sample holds. Pairs
     are taken in canonical order and capped at ``MAX_QUESTIONS``.
     """
-    _, unanimous, majority = _literal_split(sample)
-    return _question_pairs(
-        sorted(unanimous, key=formula_to_str),
-        sorted((lit for lit, _ in majority), key=formula_to_str),
-    )
+    _, unanimous, majority, _ = _literal_split(sample)
+    return _question_pairs(sample.universe, unanimous, majority)
 
 
 def sample_coherence(
-    sample: WorldSet, questions: Sequence[Question] = ()
+    sample: WorldSet, questions: Sequence[Question] = (), cube: tuple[int, int] = (0, 0)
 ) -> tuple[int, Fraction | None, float | None]:
     """The question count, world coherence and mean question entropy of the
     given questions over the sample, or of its derived questions
@@ -243,18 +286,18 @@ def sample_coherence(
     Given questions are counted once. Derived ones are not built: every
     antecedent holds throughout the sample, so ``a -> b`` is true exactly
     where ``b`` holds, and the question in cell ``(i, j)`` of the grid has
-    the hit count of majority literal ``j``.
+    the hit count of majority literal ``j``. ``cube`` is the cube of the
+    set the sample was drawn from; the atoms it decides are not counted.
     """
     if questions:
         total, counts = _true_counts(sample, questions)
         entropies = [binary_entropy(c / total) for c in counts]
     else:
-        total, unanimous, majority = _literal_split(sample)
+        total, unanimous, majority, hits = _literal_split(sample, cube)
         cells = _grid_cells(len(unanimous), len(majority))
         if not cells:
             return 0, None, None
-        majority.sort(key=lambda pair: formula_to_str(pair[0]))
-        row = [(c, binary_entropy(c / total)) for _, c in majority]
+        row = [(hits[j], binary_entropy(hits[j] / total)) for j in majority]
         counts, entropies = zip(*(row[j] for _, j in cells))
     return len(counts), Fraction(sum(counts), total * len(counts)), _mean(entropies)
 
@@ -356,55 +399,39 @@ def detect_kernels(
         raise MetricError("kernel detection needs at least two reader states")
     theta = Fraction(theta)
     steps = [KernelStep(0, Fraction(0), False)]
+    masks = [_literal_mask(s) for s in states]
     for t in range(1, len(states)):
-        before, after = states[t - 1].beliefs, states[t].beliefs
-        changed = before ^ after
-        union = before | after
-        fraction = Fraction(len(changed), max(1, len(union)))
+        before, after = masks[t - 1], masks[t]
+        fraction = Fraction((before ^ after).bit_count(), max(1, (before | after).bit_count()))
         steps.append(KernelStep(t, fraction, fraction > theta))
     return KernelReport(steps=tuple(steps), theta=theta)
 
 
 def _kernel_sides(
-    states: Sequence[ReaderState], kernel_step: int, restrict: Mapping[Atom, bool] | None = None
-) -> tuple[list[Formula], list[Formula]]:
-    """A kernel's question grid sides in canonical order: the beliefs
-    B(k-1), and the beliefs B(k) minus B(k-1), less those that contradict
-    ``restrict`` (a partial atom assignment)."""
+    states: Sequence[ReaderState], kernel_step: int, excluded: int = 0
+) -> tuple[list[int], list[int]]:
+    """A kernel's question grid sides as literal codes in canonical order:
+    the beliefs B(k-1), and the beliefs B(k) minus B(k-1) less the codes in
+    the mask ``excluded``."""
     if not 1 <= kernel_step < len(states):
         raise MetricError(f"kernel step {kernel_step} outside the state series")
-    before = states[kernel_step - 1].beliefs
-    after = states[kernel_step].beliefs - before
-    if restrict is not None:
-        after = [c for c in after if _consistent_with(c, restrict)]
-    return sorted(before, key=formula_to_str), sorted(after, key=formula_to_str)
+    before, after = (_literal_mask(s) for s in states[kernel_step - 1 : kernel_step + 1])
+    after &= ~(before | excluded)
+    order = _literal_order(states[kernel_step].worlds.universe)
+    return [j for j in order if before >> j & 1], [j for j in order if after >> j & 1]
 
 
-def kernel_questions(
-    states: Sequence[ReaderState],
-    kernel_step: int,
-    restrict: Mapping[Atom, bool] | None = None,
-) -> tuple[Question, ...]:
+def kernel_questions(states: Sequence[ReaderState], kernel_step: int) -> tuple[Question, ...]:
     """Questions a kernel poses: pre-kernel beliefs implying the beliefs the
     kernel newly decided.
 
     Antecedents range over B(k-1), consequents over B(k) minus B(k-1); both
-    in canonical order, capped at ``MAX_QUESTIONS``. ``restrict`` (a partial
-    atom assignment) drops consequents that contradict it. Answers are
-    (true, true) by construction: both sides are held beliefs on their own
-    side of the kernel.
+    in canonical order, capped at ``MAX_QUESTIONS``. Answers are (true,
+    true) by construction: both sides are held beliefs on their own side of
+    the kernel.
     """
-    return _question_pairs(*_kernel_sides(states, kernel_step, restrict))
-
-
-def _consistent_with(literal: Formula, restrict: Mapping[Atom, bool]) -> bool:
-    if isinstance(literal, Not) and isinstance(literal.operand, Atom):
-        atom, value = literal.operand, False
-    elif isinstance(literal, Atom):
-        atom, value = literal, True
-    else:
-        return True
-    return atom not in restrict or restrict[atom] == value
+    sides = _kernel_sides(states, kernel_step)
+    return _question_pairs(states[0].worlds.universe, *sides)
 
 
 def classify_satellites(
@@ -421,11 +448,11 @@ def classify_satellites(
     no evaluable question is not a satellite. Kernels need no satellites.
 
     The kernel's questions are the cells of its ``kernel_questions`` grid,
-    read off its two sorted literal lists without building a question. The
-    columns of the literals the cells use are built once per kernel over the
-    universe; at each prior, each distinct sub-population the antecedents
-    select is counted once, then each question counts its consequent within
-    it (the same counts ``relevance`` takes for one question).
+    read off its two literal-code lists without building a question. The
+    atom columns of the literals the cells use are looked up once per
+    kernel; at each prior, its cube decides every cell whose antecedent or
+    consequent atom it decides, and only the rest are counted (the same
+    counts ``relevance`` takes for one question).
     """
     links: list[SatelliteLink] = []
     kernel_steps = set(report.kernels)
@@ -436,14 +463,14 @@ def classify_satellites(
             continue
         # the sides the cells use: their rows, and the first row's columns
         u = states[k].worlds.universe
-        rows, columns = (cells - 1) // len(consequents) + 1, min(cells, len(consequents))
-        a_cols = [truth_column(a, u) for a in antecedents[:rows]]
-        b_cols = [truth_column(b, u) for b in consequents[:columns]]
+        n = u.atom_count
+        rows = antecedents[: (cells - 1) // len(consequents) + 1]
+        a_cols = [(a, u.atom_column(a % n)) for a in rows]
+        b_cols = [(b, u.atom_column(b % n)) for b in consequents[:cells]]
         for s in range(1, k):
             if s in kernel_steps:
                 continue
-            prior = states[s].worlds
-            values = _relevances(prior.column, len(prior), a_cols, b_cols, cells)
+            values = _relevances(states[s], a_cols, b_cols, cells)
             if not values:
                 continue
             mean = _mean(values)
@@ -451,14 +478,6 @@ def classify_satellites(
                 links.append(SatelliteLink(k, s, mean, len(values)))
     links.sort(key=lambda l: (l.kernel_step, l.satellite_step))
     return replace(report, satellites=tuple(links))
-
-
-def pullback_restriction(truth_now: World, sample_then: WorldSet) -> dict[Atom, bool]:
-    """Restrict a later ground-truth world to the atoms the earlier sample
-    already decides (the maximal view of the truth visible at the earlier
-    time)."""
-    decided = {f.operand if isinstance(f, Not) else f for f in plausible_facts(sample_then)}
-    return {a: truth_now.truth(a) for a in truth_now.universe.atoms if a in decided}
 
 
 def transitional_coherence(
@@ -484,17 +503,20 @@ def transitional_coherence(
     in_range = [k for k in kernels.kernels if t_then < k <= t_now]
     if not in_range:
         raise MetricError(f"no kernel in ({t_then}, {t_now}]")
-    restrict = pullback_restriction(truth_now, sample_then)
+    true, false = plausible_facts(sample_then)
+    decided, n = true | false, sample_then.universe.atom_count
+    # the literals on atoms the sample decides that the later truth falsifies
+    contradicted = decided & ~truth_now.mask | (decided & truth_now.mask) << n
     members, table = sample_then.own_column, sample_then.table
     # Each question a -> b is true on the members outside a or inside b.
     counts: list[int] = []
     for k in in_range:
-        antecedents, consequents = _kernel_sides(states, k, restrict)
-        inside = [members & truth_column(b, table) for b in consequents]
+        antecedents, consequents = _kernel_sides(states, k, contradicted)
+        inside = [_holding(members, table.atom_column(b % n), b, n) for b in consequents]
         for a in antecedents:
             if len(counts) == MAX_QUESTIONS or not inside:
                 break
-            outside = members & ~truth_column(a, table)
+            outside = members ^ _holding(members, table.atom_column(a % n), a, n)
             counts.extend((outside | b).bit_count() for b in inside[: MAX_QUESTIONS - len(counts)])
     if not counts:
         raise MetricError("derived question set is empty")

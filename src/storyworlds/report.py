@@ -242,12 +242,12 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
     for t, state in enumerate(states):
         sample = sample_worlds(state.worlds, config.sample_k, config.seed)
         samples.append(sample)
-        count, coherence, entropy = sample_coherence(sample, config_questions)
+        count, coherence, entropy = sample_coherence(sample, config_questions, state.cube)
         steps_out.append(
             {
                 "t": t,
                 "world_count": len(state.worlds),
-                "belief_count": len(state.beliefs),
+                "belief_count": (state.cube[0] | state.cube[1]).bit_count(),
                 "sample_size": len(sample),
                 "world_coherence": None if coherence is None else rational(coherence),
                 "world_coherence_mean_entropy": entropy,

@@ -44,21 +44,23 @@ def select_masks(column: int, ranks: Iterable[int]) -> Iterator[int]:
     ``_BLOCK``-byte blocks it has passed (Jacobson 1989; Vigna 2008): each
     rank skips whole blocks up to the one holding it, then halves that
     block's word down to its bit. The walk reads each block once and stops
-    at the block of the last rank; a listing costs one step per member.
+    at the block of the last rank; a listing costs one step per member. A
+    rank past the last member is found when the walk runs out of blocks.
     """
     data = column.to_bytes((column.bit_length() + 7) // 8, "little")
     offsets = iter(range(0, len(data), _BLOCK))
-    total = column.bit_count()
     # ``word`` is the current block past the last pick, ``base`` the mask of
     # its bit 0, ``at`` the rank of its lowest member, ``end`` the rank past
     # the block.
     base = word = at = end = 0
     last = -1
     for r in ranks:
-        if not last < r < total:
-            raise IndexError(f"rank {r} after rank {last}, in a column of {total} members")
+        if not last < r:
+            raise IndexError(f"rank {r} after rank {last}")
         while r >= end:
-            offset = next(offsets)
+            offset = next(offsets, None)
+            if offset is None:
+                raise IndexError(f"rank {r} past the column's {end} members")
             word = int.from_bytes(data[offset : offset + _BLOCK], "little")
             base, at = offset * 8, end
             end += word.bit_count()

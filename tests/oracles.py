@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from storyworlds import metrics
 from storyworlds.logic import Not, Universe, World, evaluate
-from storyworlds.metrics import Question, SatelliteLink, binary_entropy, kernel_questions
+from storyworlds.metrics import Question, SatelliteLink, binary_entropy
 from storyworlds.story import formula_to_str
 
 
@@ -95,13 +95,34 @@ def relevance_oracle(q, worlds, truth=None):
     return binary_entropy(p_a) - binary_entropy(truth_proportion_oracle(sub, ind_b))
 
 
+def kernel_beliefs_oracle(states, k) -> tuple[frozenset, frozenset]:
+    """The literals every world at step k-1 decides, and those every world
+    at step k decides but not every world at k-1, from listed worlds."""
+    before = plausible_facts_oracle(tuple(states[k - 1].worlds))
+    return before, plausible_facts_oracle(tuple(states[k].worlds)) - before
+
+
+def kernel_grid_oracle(states, k) -> list:
+    """Kernel ``k``'s questions: each pre-kernel belief implying each newly
+    decided belief, sides in canonical order (the literal's text), cut at
+    ``metrics.MAX_QUESTIONS``."""
+    before, after = kernel_beliefs_oracle(states, k)
+    grid = [
+        Question(a, b, (True, True))
+        for a in sorted(before, key=formula_to_str)
+        for b in sorted(after, key=formula_to_str)
+    ]
+    return grid[: metrics.MAX_QUESTIONS]
+
+
 def satellites_oracle(states, report, epsilon) -> tuple:
     """Satellite links by one ``relevance_oracle`` call per (kernel question,
-    earlier non-kernel step), each prior listed world by world."""
+    earlier non-kernel step), each prior listed world by world; each
+    kernel's questions come from ``kernel_grid_oracle``."""
     links = []
     kernels = set(report.kernels)
     for k in report.kernels:
-        questions = kernel_questions(states, k)
+        questions = kernel_grid_oracle(states, k)
         for s in range(1, k):
             if s in kernels or not questions:
                 continue
@@ -133,8 +154,7 @@ def transitional_grids_oracle(sample_then, truth_now, states, kernels) -> list:
     restrict = pullback_oracle(truth_now, listed)
     grids = []
     for k in kernels:
-        before = plausible_facts_oracle(tuple(states[k - 1].worlds))
-        after = plausible_facts_oracle(tuple(states[k].worlds)) - before
+        before, after = kernel_beliefs_oracle(states, k)
         # a literal contradicts the pulled-back truth iff its atom is decided
         # and the truth world falsifies it
         consequents = [

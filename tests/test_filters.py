@@ -12,6 +12,7 @@ from storyworlds.filters import (
     PlausibilityStatus,
     WeakFilter,
     WeakUltrafilter,
+    cube_literals,
     extend_to_ultrafilter,
     is_weak_filter,
     is_weak_ultrafilter,
@@ -171,7 +172,7 @@ class TestExtension:
 
 class TestPlausibleFacts:
     def test_fixture_decides_only_the_asserted_atoms(self, cards_universe, worlds_s0):
-        facts = plausible_facts(worlds_s0)
+        facts = cube_literals(cards_universe, plausible_facts(worlds_s0))
         assert facts == {
             cards_universe.atom("wears", "jay", "blue"),
             cards_universe.atom("plays", "ali", "jay"),
@@ -179,11 +180,12 @@ class TestPlausibleFacts:
 
     def test_singleton_world_decides_every_literal(self, cards_universe):
         w = WorldSet(cards_universe, [37])
-        assert len(plausible_facts(w)) == 8
+        assert len(cube_literals(cards_universe, plausible_facts(w))) == 8
 
     def test_opposite_worlds_decide_nothing(self, cards_universe):
         pair = WorldSet(cards_universe, [0, 255])
-        assert plausible_facts(pair) == frozenset()
+        assert plausible_facts(pair) == (0, 0)
+        assert cube_literals(cards_universe, plausible_facts(pair)) == frozenset()
 
     def test_explicit_candidates(self, cards_universe, worlds_s0):
         q = cards_universe.atom("wears", "jay", "blue")
@@ -194,7 +196,8 @@ class TestPlausibleFacts:
         u = chain_universe(10)
         for m in range(1 << 10):
             facts = plausible_facts(WorldSet.from_column(u, 1 << m))
-            assert facts == frozenset(World(u, m).literals())
+            assert facts == (m, (1 << 10) - 1 ^ m)
+            assert cube_literals(u, facts) == frozenset(World(u, m).literals())
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(9, 12), st.integers(0, 2**32 - 1))
@@ -210,7 +213,7 @@ class TestPlausibleFacts:
         for _ in range(rng.randrange(6)):
             bits &= rng.getrandbits(1 << n)
         ws = WorldSet.from_column(u, col & bits | col & -col)
-        assert plausible_facts(ws) == plausible_facts_oracle(tuple(ws))
+        assert cube_literals(u, plausible_facts(ws)) == plausible_facts_oracle(tuple(ws))
 
 
 class TestPlausibilityStatus:

@@ -12,7 +12,19 @@ from hypothesis import strategies as st
 from storyworlds import metrics
 from storyworlds.conveyance import Channel, evolve
 from storyworlds.errors import EmptyWorldSetError, MetricError
-from storyworlds.logic import FALSE, TRUE, And, Constant, Implies, Not, Or, World, consistent
+from storyworlds.logic import (
+    FALSE,
+    TRUE,
+    And,
+    Constant,
+    Implies,
+    Not,
+    Or,
+    Universe,
+    World,
+    consistent,
+    negate,
+)
 from storyworlds.metrics import (
     Question,
     binary_entropy,
@@ -22,7 +34,6 @@ from storyworlds.metrics import (
     detect_kernels,
     kernel_questions,
     mean_question_entropy,
-    pullback_restriction,
     relevance,
     sample_coherence,
     transitional_coherence,
@@ -408,14 +419,6 @@ class TestTransitionalCoherence:
         with pytest.raises(MetricError):
             transitional_coherence(states[2].worlds, truth, report, states, 3, 3)
 
-    def test_pullback_keeps_only_decided_atoms(self, cards_universe, worlds_s0):
-        truth = World(cards_universe, 82)
-        restricted = pullback_restriction(truth, worlds_s0)
-        assert restricted == {
-            cards_universe.atom("plays", "ali", "jay"): True,
-            cards_universe.atom("wears", "jay", "blue"): True,
-        }
-
 
 def test_kernel_question_answers_default_true():
     states = evolve(parse_story(REVEAL_STORY), Channel.identity())
@@ -429,6 +432,21 @@ def test_kernel_question_cap(reveal_states):
     for cap in (2, 0):
         with patch.object(metrics, "MAX_QUESTIONS", cap):
             assert kernel_questions(reveal_states, 3) == qs[:cap]
+
+
+class _CountedColumn(int):
+    """An atom column that records each AND taken with it."""
+
+    def __new__(cls, value: int, log: list):
+        column = super().__new__(cls, value)
+        column.log = log
+        return column
+
+    def __and__(self, other):
+        self.log.append(1)
+        return int(self) & other
+
+    __rand__ = __and__
 
 
 def _literal(atom, value: bool):
@@ -526,18 +544,39 @@ class TestSatellitesAgainstOracle:
             assert classify_satellites(states, report).satellites == expected
 
     def test_builds_each_literal_column_once_per_kernel(self, twist_timeline):
+        """Each used literal's atom column is looked up at most once per
+        kernel, and only an antecedent row or a cell that the prior leaves
+        undecided takes an AND (and its popcount) with one."""
         states = evolve(twist_timeline, Channel.identity())
         report = detect_kernels(states)
         expected = classify_satellites(states, report).satellites
-        used = 0
+        used = bound = every_cell = 0
         for k in report.kernels:
-            rows = len(states[k - 1].beliefs)
-            width = len(states[k].beliefs - states[k - 1].beliefs)
-            cells = min(metrics.MAX_QUESTIONS, rows * width)
-            used += -(-cells // width) + min(cells, width)
-        with patch.object(metrics, "truth_column", wraps=metrics.truth_column) as spy:
+            grid = kernel_questions(states, k)
+            rows = list(dict.fromkeys(q.antecedent for q in grid))
+            columns = list(dict.fromkeys(q.consequent for q in grid))
+            used += len(rows) + len(columns)
+            for s in range(1, k):
+                if s in report.kernels:
+                    continue
+                decided = {negate(lit) for lit in states[s].beliefs} | states[s].beliefs
+                open_rows = sum(1 for a in rows if a not in decided)
+                open_columns = sum(1 for b in columns if b not in decided)
+                # each open row takes its own AND, then one per open cell;
+                # the rows the prior decides true share one row of cells
+                bound += open_rows * (1 + open_columns) + open_columns
+                every_cell += len(rows) * (1 + len(columns))
+        lookups, ands = [], []
+        original = Universe.atom_column
+
+        def counted(universe, index):
+            lookups.append(index)
+            return _CountedColumn(original(universe, index), ands)
+
+        with patch.object(Universe, "atom_column", counted):
             assert classify_satellites(states, report).satellites == expected
-        assert 0 < spy.call_count <= used
+        assert 0 < len(lookups) <= used
+        assert 0 < len(ands) <= bound < every_cell
 
     @settings(max_examples=60, deadline=None)
     @given(state_series(), st.data())
