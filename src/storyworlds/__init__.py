@@ -63,13 +63,11 @@ from .logic import (
     negate,
 )
 from .metrics import (
-    BooleanLattice,
     KernelReport,
     KernelStep,
     Question,
     SatelliteLink,
     binary_entropy,
-    boolean_lattice,
     classify_satellites,
     derive_world_questions,
     detect_kernels,

@@ -106,21 +106,20 @@ def parse_channel_spec(spec: str, universe: Universe) -> Channel:
         formulas = [parse_formula(p, universe) for p in parts]
         ctor = Channel.drop if kind == "drop" else Channel.corrupt
         return ctor(formulas)
-    if kind == "rename":
-        pairs = []
-        for part in payload.split(","):
-            part = part.strip()
-            if not part:
-                continue
-            if "->" not in part:
-                raise ChannelError(f"rename entry '{part}' is not 'old->new'")
-            old, new = (x.strip() for x in part.split("->", 1))
-            _check_rename(old, new, universe)
-            pairs.append((old, new))
-        if not pairs:
-            raise ChannelError("rename channel needs at least one mapping")
-        return Channel(ChannelKind.RENAME, rename=tuple(pairs))
-    raise ChannelError(f"unknown channel kind '{kind}'")
+    # the third kind _match_payload matches: rename
+    pairs = []
+    for part in payload.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        if "->" not in part:
+            raise ChannelError(f"rename entry '{part}' is not 'old->new'")
+        old, new = (x.strip() for x in part.split("->", 1))
+        _check_rename(old, new, universe)
+        pairs.append((old, new))
+    if not pairs:
+        raise ChannelError("rename channel needs at least one mapping")
+    return Channel(ChannelKind.RENAME, rename=tuple(pairs))
 
 
 def _match_payload(spec: str) -> tuple[str, str] | None:
@@ -185,11 +184,8 @@ def _rewrite(
         table = channel.rename_map()
         fn = lambda a: Atom(table.get(a.relation, a.relation), a.args)
         return frozenset(map_atoms(f, fn) for f in present)
-    if channel.kind is ChannelKind.CORRUPT:
-        return frozenset(
-            negate(f) if f in channel.formulas else f for f in present
-        )
-    raise ChannelError(f"unknown channel kind {channel.kind!r}")
+    # the fourth kind, ChannelKind.CORRUPT
+    return frozenset(negate(f) if f in channel.formulas else f for f in present)
 
 
 def transmit(

@@ -17,6 +17,7 @@ table of these ``2**n``-bit columns, and a sample's rank table holds its own
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
 
@@ -34,6 +35,9 @@ DEFAULT_ATOM_BOUND = 24
 #: Nothing lists a set's worlds to sample it. Raising the ceiling waits for
 #: measured time and peak memory at 24 atoms and above.
 ATOM_CEILING = 26
+
+#: A sort, constant or relation name: what the story grammar can spell.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class Formula:
@@ -105,7 +109,9 @@ class Universe:
     ``sorts`` maps each sort name to its ordered constants; ``relations`` is a
     sequence of ``(name, argument_sorts)`` pairs. Grounding is canonical:
     atoms are sorted lexicographically by relation name then argument tuple,
-    which fixes each atom's index for the life of the universe.
+    which fixes each atom's index for the life of the universe. Names match
+    ``NAME_RE`` and no relation is ``true`` or ``false``, so every atom
+    prints as story text that parses back, and atom order is text order.
 
     ``negations`` holds one ``Not(atom)`` per atom, in atom order, built
     with the universe so that literal-producing code shares those objects.
@@ -131,6 +137,7 @@ class Universe:
         self._sorts: dict[str, tuple[str, ...]] = {}
         for name, constants in sorts.items():
             constants = tuple(constants)
+            _check_names(name, *constants)
             if len(set(constants)) != len(constants):
                 raise UniverseError(f"duplicate constant in sort '{name}'")
             self._sorts[name] = constants
@@ -138,6 +145,9 @@ class Universe:
         self._relations: dict[str, tuple[str, ...]] = {}
         for rel, arg_sorts in relations:
             arg_sorts = tuple(arg_sorts)
+            _check_names(rel)
+            if rel in ("true", "false"):
+                raise UniverseError(f"relation '{rel}' would read as a formula constant")
             if rel in self._relations:
                 raise UniverseError(f"duplicate relation '{rel}'")
             if not arg_sorts:
@@ -240,6 +250,12 @@ class Universe:
             f"Universe(sorts={list(self._sorts)}, relations={list(self._relations)}, "
             f"atoms={self.atom_count})"
         )
+
+
+def _check_names(*names: str) -> None:
+    for name in names:
+        if not NAME_RE.fullmatch(name):
+            raise UniverseError(f"{name!r} is not a name of the story grammar")
 
 
 def _ground_relation(

@@ -17,11 +17,13 @@ consequent grid of ground literals, taken antecedent-major and capped at
 ``MAX_QUESTIONS``; the closed form, the satellite relevances and
 transitional coherence read the cells off the grid's sides without building
 a question. Beliefs are ``plausible_facts`` cubes, two atom masks: a grid
-side is a mask of literal codes read in the universe's canonical literal
-order (sorted once per universe), and kernel churn is popcounts of the
-masks' XOR and OR. At each satellite prior, the prior's cube decides every
-cell whose antecedent or consequent atom it decides; only the other cells
-are counted.
+side is a mask of literal codes, numbered so that ascending codes are the
+canonical literal order (the negation of atom ``i`` is code ``i``, the atom
+``n + i``), and kernel churn is popcounts of the masks' XOR and OR. At
+each satellite prior, the prior's cube decides every cell whose antecedent
+or consequent atom it decides; only the other cells are counted. Given
+questions and transitional coherence count their cells one way: the members
+outside the antecedent or inside the consequent, each side built once.
 """
 
 from __future__ import annotations
@@ -29,8 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .conveyance import ReaderState
 from .errors import EmptyWorldSetError, MetricError
@@ -40,7 +41,6 @@ from .logic import (
     Implies,
     Universe,
     World,
-    check_bound,
     evaluate,
     truth_column,
 )
@@ -130,25 +130,23 @@ def _grid_cells(rows: int, columns: int) -> list[tuple[int, int]]:
     return [divmod(i, columns) for i in range(min(MAX_QUESTIONS, rows * columns))]
 
 
-@lru_cache(maxsize=1)
-def _literal_order(universe: Universe) -> tuple[int, ...]:
-    """The codes of the universe's ground literals in canonical
-    (``formula_to_str``) order: atom ``i`` is code ``i``, its negation
-    ``n + i``. One entry: an analysis reads one universe, and more would
-    keep earlier universes and their atom columns alive."""
-    literals = universe.atoms + universe.negations
-    return tuple(sorted(range(len(literals)), key=lambda j: formula_to_str(literals[j])))
-
-
 def _literal_mask(state: ReaderState) -> int:
-    """The reader's decided beliefs as a mask of literal codes."""
-    return state.cube[0] | state.cube[1] << state.worlds.universe.atom_count
+    """The reader's decided beliefs as a mask of literal codes: the negation
+    of atom ``i`` is code ``i`` and atom ``i`` is code ``n + i``. Ascending
+    codes are the canonical (``formula_to_str``) order, since ``!`` sorts
+    below every name character and atoms are indexed in text order."""
+    return state.cube[1] | state.cube[0] << state.worlds.universe.atom_count
+
+
+def _codes(mask: int) -> list[int]:
+    """The literal codes set in ``mask``, in canonical order."""
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
 
 
 def _holding(members: int, column: int, code: int, n: int) -> int:
     """The members where literal ``code`` holds, given its atom's column."""
     hits = members & column
-    return hits if code < n else members ^ hits
+    return hits if code >= n else members ^ hits
 
 
 def _relevances(
@@ -166,7 +164,7 @@ def _relevances(
     prior = state.worlds
     members, total, n = prior.column, len(prior), prior.universe.atom_count
     true, false = state.cube
-    held, decided = true | false << n, true | false
+    held, decided = false | true << n, true | false
 
     def row(sub: int, n_a: int) -> list[float]:
         # int / int is correctly rounded, so these equal float(Fraction(...)).
@@ -177,7 +175,7 @@ def _relevances(
                 out.append(h)
             else:
                 hits = (sub & col).bit_count()
-                out.append(h - binary_entropy((hits if b < n else n_a - hits) / n_a))
+                out.append(h - binary_entropy((hits if b >= n else n_a - hits) / n_a))
         return out
 
     width = len(consequents)
@@ -193,12 +191,20 @@ def _relevances(
     return values
 
 
+def _implication_counts(members: int, pairs: Sequence[tuple], holding: Callable) -> list[int]:
+    """Each implication ``(a, b)``'s true count, in pair order: the members
+    outside a or inside b, where ``holding(side)`` is the members a side
+    holds on. Each distinct antecedent's outside and each distinct
+    consequent's inside is built once, so an implication costs one
+    popcount."""
+    outside = {a: members ^ holding(a) for a in dict.fromkeys(a for a, _ in pairs)}
+    inside = {b: holding(b) for b in dict.fromkeys(b for _, b in pairs)}
+    return [(outside[a] | inside[b]).bit_count() for a, b in pairs]
+
+
 def _true_counts(sample: WorldSet, questions: Iterable[Question]) -> tuple[int, list[int]]:
     """The sample size and each question's true count over the sample, in
-    question order: the members where its antecedent fails or its consequent
-    holds. Each distinct antecedent's outside column and each distinct
-    consequent's inside column is built once, so a question costs one
-    popcount."""
+    question order (``_implication_counts``)."""
     qs = tuple(questions)
     if not qs:
         raise MetricError("coherence needs a non-empty question set")
@@ -206,13 +212,8 @@ def _true_counts(sample: WorldSet, questions: Iterable[Question]) -> tuple[int, 
     if total == 0:
         raise EmptyWorldSetError("coherence over an empty world set")
     members, table = sample.own_column, sample.table
-    outside = {
-        a: members & ~truth_column(a, table) for a in dict.fromkeys(q.antecedent for q in qs)
-    }
-    inside = {
-        b: members & truth_column(b, table) for b in dict.fromkeys(q.consequent for q in qs)
-    }
-    return total, [(outside[q.antecedent] | inside[q.consequent]).bit_count() for q in qs]
+    pairs = [(q.antecedent, q.consequent) for q in qs]
+    return total, _implication_counts(members, pairs, lambda f: members & truth_column(f, table))
 
 
 def world_coherence(sample: WorldSet, questions: Iterable[Question]) -> Fraction:
@@ -233,7 +234,7 @@ def _question_pairs(
 ) -> tuple[Question, ...]:
     """Questions ``a -> b`` answered (true, true) over the capped grid of
     the given literal codes."""
-    literals = universe.atoms + universe.negations
+    literals = universe.negations + universe.atoms
     return tuple(
         Question(literals[antecedents[i]], literals[consequents[j]], (True, True))
         for i, j in _grid_cells(len(antecedents), len(consequents))
@@ -257,10 +258,9 @@ def _literal_split(
         else (members & table.atom_column(i)).bit_count()
         for i in range(u.atom_count)
     ]
-    counts = hits + [total - h for h in hits]
-    order = _literal_order(u)
-    unanimous = [j for j in order if counts[j] == total]
-    majority = [j for j in order if total < 2 * counts[j] < 2 * total]
+    counts = [total - h for h in hits] + hits
+    unanimous = [j for j, c in enumerate(counts) if c == total]
+    majority = [j for j, c in enumerate(counts) if total < 2 * c < 2 * total]
     return total, unanimous, majority, counts
 
 
@@ -303,60 +303,6 @@ def sample_coherence(
 
 
 @dataclass(frozen=True)
-class BooleanLattice:
-    """Entailment DAG over equivalence classes of formulas.
-
-    ``classes`` lists each equivalence class (formulas with identical truth
-    tables), canonically ordered; ``edges`` holds every pair (i, j) with
-    class i entailing class j, i.e. the full transitive closure of the
-    order. ``sources`` are the classes no other class entails.
-    """
-
-    classes: tuple[tuple[Formula, ...], ...]
-    edges: frozenset
-    sources: tuple[int, ...]
-
-    def transitive_reduction(self) -> frozenset:
-        """Edges minus those implied by two-step paths (for display)."""
-        redundant = {
-            (i, j)
-            for (i, j) in self.edges
-            for (a, k) in self.edges
-            if a == i and k != j and (k, j) in self.edges
-        }
-        return frozenset(self.edges - redundant)
-
-
-def boolean_lattice(formulas: Iterable[Formula], universe: Universe) -> BooleanLattice:
-    """Group formulas by logical equivalence and wire entailment edges.
-
-    Equivalence and entailment are decided by exhaustive truth tables, so the
-    universe must fit its enumeration bound. Collapsing equivalent formulas
-    into one vertex keeps the graph acyclic.
-    """
-    check_bound(universe)
-    by_column: dict[int, list[Formula]] = {}
-    for f in formulas:
-        by_column.setdefault(truth_column(f, universe), []).append(f)
-    grouped = []
-    for col, members in by_column.items():
-        members = sorted(set(members), key=formula_to_str)
-        grouped.append((formula_to_str(members[0]), col, tuple(members)))
-    grouped.sort()
-    columns = [col for _, col, _ in grouped]
-    classes = tuple(members for _, _, members in grouped)
-    edges = frozenset(
-        (i, j)
-        for i in range(len(columns))
-        for j in range(len(columns))
-        if i != j and columns[i] & ~columns[j] == 0
-    )
-    targets = {j for _, j in edges}
-    sources = tuple(i for i in range(len(classes)) if i not in targets)
-    return BooleanLattice(classes=classes, edges=edges, sources=sources)
-
-
-@dataclass(frozen=True)
 class KernelStep:
     """Belief churn at one step: the fraction of the literal beliefs that
     changed arriving here, and whether that crosses the kernel threshold."""
@@ -377,7 +323,6 @@ class SatelliteLink:
 @dataclass(frozen=True)
 class KernelReport:
     steps: tuple[KernelStep, ...]
-    theta: Fraction
     satellites: tuple[SatelliteLink, ...] = ()
 
     @property
@@ -404,7 +349,7 @@ def detect_kernels(
         before, after = masks[t - 1], masks[t]
         fraction = Fraction((before ^ after).bit_count(), max(1, (before | after).bit_count()))
         steps.append(KernelStep(t, fraction, fraction > theta))
-    return KernelReport(steps=tuple(steps), theta=theta)
+    return KernelReport(steps=tuple(steps))
 
 
 def _kernel_sides(
@@ -416,9 +361,7 @@ def _kernel_sides(
     if not 1 <= kernel_step < len(states):
         raise MetricError(f"kernel step {kernel_step} outside the state series")
     before, after = (_literal_mask(s) for s in states[kernel_step - 1 : kernel_step + 1])
-    after &= ~(before | excluded)
-    order = _literal_order(states[kernel_step].worlds.universe)
-    return [j for j in order if before >> j & 1], [j for j in order if after >> j & 1]
+    return _codes(before), _codes(after & ~(before | excluded))
 
 
 def kernel_questions(states: Sequence[ReaderState], kernel_step: int) -> tuple[Question, ...]:
@@ -506,18 +449,16 @@ def transitional_coherence(
     true, false = plausible_facts(sample_then)
     decided, n = true | false, sample_then.universe.atom_count
     # the literals on atoms the sample decides that the later truth falsifies
-    contradicted = decided & ~truth_now.mask | (decided & truth_now.mask) << n
-    members, table = sample_then.own_column, sample_then.table
-    # Each question a -> b is true on the members outside a or inside b.
-    counts: list[int] = []
+    contradicted = decided & truth_now.mask | (decided & ~truth_now.mask) << n
+    pairs = []
     for k in in_range:
         antecedents, consequents = _kernel_sides(states, k, contradicted)
-        inside = [_holding(members, table.atom_column(b % n), b, n) for b in consequents]
-        for a in antecedents:
-            if len(counts) == MAX_QUESTIONS or not inside:
-                break
-            outside = members ^ _holding(members, table.atom_column(a % n), a, n)
-            counts.extend((outside | b).bit_count() for b in inside[: MAX_QUESTIONS - len(counts)])
-    if not counts:
+        cells = _grid_cells(len(antecedents), len(consequents))
+        pairs += [(antecedents[i], consequents[j]) for i, j in cells]
+    if not (pairs := pairs[:MAX_QUESTIONS]):
         raise MetricError("derived question set is empty")
+    members, table = sample_then.own_column, sample_then.table
+    counts = _implication_counts(
+        members, pairs, lambda c: _holding(members, table.atom_column(c % n), c, n)
+    )
     return Fraction(sum(counts), len(sample_then) * len(counts))

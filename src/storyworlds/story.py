@@ -35,6 +35,7 @@ from .errors import (
     UnknownAtomError,
 )
 from .logic import (
+    NAME_RE,
     And,
     Atom,
     Constant,
@@ -91,8 +92,6 @@ def _wrap(f: Formula, minimum: int) -> str:
     return f"({text})" if _precedence(f) < minimum else text
 
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
 #: Deepest nesting of parentheses, negations and implication chains that a
 #: formula may have. Every stage walks formulas recursively, so the parser
 #: refuses deeper input rather than let a later stage exhaust the stack.
@@ -135,7 +134,7 @@ class _FormulaParser:
 
     def name(self) -> tuple[str, int]:
         self.skip_ws()
-        m = _NAME_RE.match(self.text, self.pos)
+        m = NAME_RE.match(self.text, self.pos)
         if not m:
             self.fail("expected a name")
         self.pos = m.end()
@@ -380,7 +379,7 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
             if name in sorts:
                 raise ParseError(f"duplicate sort '{name}'", line_no, indent + 1)
             constants = tuple(c.strip() for c in rest.split(",") if c.strip())
-            if not constants or not all(_NAME_RE.fullmatch(c) for c in constants):
+            if not constants or not all(NAME_RE.fullmatch(c) for c in constants):
                 raise ParseError(
                     f"sort '{name}' needs a comma-separated list of names",
                     line_no,
@@ -399,7 +398,7 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
                 raise ParseError("malformed rel declaration", line_no, indent + 1)
             name, rest = m.group(1), m.group(2)
             arg_sorts = tuple(s.strip() for s in rest.split(",") if s.strip())
-            if not arg_sorts or not all(_NAME_RE.fullmatch(s) for s in arg_sorts):
+            if not arg_sorts or not all(NAME_RE.fullmatch(s) for s in arg_sorts):
                 raise ParseError(
                     f"relation '{name}' needs a comma-separated sort list",
                     line_no,

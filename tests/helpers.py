@@ -56,6 +56,32 @@ def random_universe(rng: random.Random, max_atoms: int) -> Universe:
             return u
 
 
+def random_named_universe(rng: random.Random, max_atoms: int) -> Universe:
+    """A random universe like ``random_universe`` whose sort, constant and
+    relation names are drawn from the story grammar over the letters ``a``,
+    ``B``, ``_`` and ``0``, so that some names are prefixes of others and
+    constants are declared in no particular order."""
+
+    def names(count: int) -> list[str]:
+        out: list[str] = []
+        while len(out) < count:
+            word = rng.choice("aB_") + "".join(rng.choice("aB_0") for _ in range(rng.randrange(3)))
+            if word not in out:
+                out.append(word)
+        return out
+
+    while True:
+        sort_names = names(rng.randrange(1, 3))
+        sorts = {name: tuple(names(rng.randrange(1, 4))) for name in sort_names}
+        relations = [
+            (rel, tuple(rng.choice(sort_names) for _ in range(rng.randrange(1, 3))))
+            for rel in names(rng.randrange(1, 4))
+        ]
+        u = Universe(sorts, relations)
+        if 1 <= u.atom_count <= max_atoms:
+            return u
+
+
 def random_formula(rng: random.Random, universe: Universe, depth: int) -> Formula:
     atoms = universe.atoms
     if depth == 0 or rng.random() < 0.3:

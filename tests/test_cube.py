@@ -48,7 +48,7 @@ def reader_series(draw, max_atoms: int = 10):
 def _report(states, kernels) -> KernelReport:
     """A kernel report that flags exactly the given steps."""
     steps = tuple(KernelStep(t, Fraction(0), t in kernels) for t in range(len(states)))
-    return KernelReport(steps=steps, theta=Fraction(1, 2))
+    return KernelReport(steps=steps)
 
 
 class TestCube:

@@ -78,6 +78,23 @@ class TestGroundAtoms:
         with pytest.raises(UniverseError):
             Universe({"s": ("a",)}, [("p", ("t",))])
 
+    @pytest.mark.parametrize(
+        "sorts, relations",
+        [
+            ({"s": ("a b", "c")}, [("p", ("s",))]),
+            ({"s": ("1a",)}, [("p", ("s",))]),
+            ({"s": ("",)}, [("p", ("s",))]),
+            ({"s t": ("a",)}, [("p", ("s t",))]),
+            ({"s": ("a",)}, [("p-q", ("s",))]),
+            ({"s": ("a",)}, [("true", ("s",))]),
+            ({"s": ("a",)}, [("false", ("s",))]),
+        ],
+        ids=["space", "leading-digit", "empty", "sort", "relation", "true", "false"],
+    )
+    def test_universe_rejects_names_the_story_grammar_cannot_spell(self, sorts, relations):
+        with pytest.raises(UniverseError):
+            Universe(sorts, relations)
+
 
 class TestEvaluate:
     def test_asserted_atom_is_true(self, cards_universe):

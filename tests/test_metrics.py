@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from unittest.mock import patch
 
 import pytest
@@ -12,12 +13,11 @@ from hypothesis import strategies as st
 from storyworlds import metrics
 from storyworlds.conveyance import Channel, evolve
 from storyworlds.errors import EmptyWorldSetError, MetricError
+from storyworlds.filters import cube_literals
 from storyworlds.logic import (
     FALSE,
     TRUE,
-    And,
     Constant,
-    Implies,
     Not,
     Or,
     Universe,
@@ -28,7 +28,6 @@ from storyworlds.logic import (
 from storyworlds.metrics import (
     Question,
     binary_entropy,
-    boolean_lattice,
     classify_satellites,
     derive_world_questions,
     detect_kernels,
@@ -42,7 +41,7 @@ from storyworlds.metrics import (
 from storyworlds.story import Fabula, Timeline, formula_to_str, parse_story
 from storyworlds.worlds import WorldSet, enumerate_models, sample_worlds
 
-from helpers import chain_universe, random_formula
+from helpers import chain_universe, random_formula, random_named_universe, random_universe
 from oracles import (
     coherence_oracle,
     relevance_oracle,
@@ -229,67 +228,30 @@ class TestDeriveWorldQuestions:
                 assert derive_world_questions(sample) == qs[:cap]
 
 
-class TestBooleanLattice:
-    def test_worked_example(self, cards_universe):
-        a = cards_universe.atom("plays", "ali", "jay")
-        b = cards_universe.atom("wears", "jay", "blue")
-        c = cards_universe.atom("wears", "ali", "blue")
-        lat = boolean_lattice([a, And((a, b)), Or((a, c))], cards_universe)
-        names = [formula_to_str(cls[0]) for cls in lat.classes]
-        edges = {(names[i], names[j]) for i, j in lat.edges}
-        conj = "plays(ali,jay) & wears(jay,blue)"
-        disj = "plays(ali,jay) | wears(ali,blue)"
-        assert edges == {
-            (conj, "plays(ali,jay)"),
-            ("plays(ali,jay)", disj),
-            (conj, disj),
-        }
-        assert [names[i] for i in lat.sources] == [conj]
+class TestLiteralCodes:
+    """Literal code ``j`` is ``(negations + atoms)[j]``, and ascending codes
+    are the canonical order: the text sort is the reference."""
 
-    def test_transitive_reduction_drops_the_long_edge(self, cards_universe):
-        a = cards_universe.atom("plays", "ali", "jay")
-        b = cards_universe.atom("wears", "jay", "blue")
-        c = cards_universe.atom("wears", "ali", "blue")
-        lat = boolean_lattice([a, And((a, b)), Or((a, c))], cards_universe)
-        assert len(lat.transitive_reduction()) == 2
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from((random_universe, random_named_universe)))
+    def test_ascending_codes_are_text_order(self, seed, draw_universe):
+        u = draw_universe(random.Random(seed), 12)
+        literals = u.negations + u.atoms
+        ascending = [literals[j] for j in metrics._codes((1 << len(literals)) - 1)]
+        assert ascending == sorted(literals, key=formula_to_str)
+        # a belief cube's mask decodes to its literals in that order
+        rng = random.Random(seed)
+        true = rng.randrange(1 << u.atom_count)
+        cube = (true, rng.randrange(1 << u.atom_count) & ~true)
+        state = SimpleNamespace(cube=cube, worlds=SimpleNamespace(universe=u))
+        decoded = [literals[j] for j in metrics._codes(metrics._literal_mask(state))]
+        assert decoded == sorted(cube_literals(u, cube), key=formula_to_str)
 
-    def test_singleton(self, cards_universe):
-        lat = boolean_lattice([cards_universe.atoms[0]], cards_universe)
-        assert len(lat.classes) == 1 and not lat.edges and lat.sources == (0,)
-
-    def test_tautologies_share_a_class(self, cards_universe):
-        a = cards_universe.atoms[0]
-        lat = boolean_lattice([TRUE, Or((a, Not(a))), Implies(a, a)], cards_universe)
-        assert len(lat.classes) == 1
-
-    def test_implying_false_is_negation(self, cards_universe):
-        a = cards_universe.atoms[0]
-        lat = boolean_lattice([Implies(a, FALSE), Not(a)], cards_universe)
-        assert len(lat.classes) == 1
-
-    def test_equivalent_formulas_collapse(self, cards_universe):
-        a = cards_universe.atoms[0]
-        lat = boolean_lattice([a, Not(Not(a))], cards_universe)
-        assert len(lat.classes) == 1
-        assert len(lat.classes[0]) == 2
-
-    def test_acyclic_and_transitively_consistent(self, cards_universe):
-        rng = random.Random(6)
-        from helpers import random_formula
-        from storyworlds.logic import entails
-
-        formulas = [random_formula(rng, cards_universe, 2) for _ in range(8)]
-        lat = boolean_lattice(formulas, cards_universe)
-        assert all(i != j for i, j in lat.edges)
-        for i, j in lat.edges:
-            assert (j, i) not in lat.edges
-            assert entails([lat.classes[i][0]], lat.classes[j][0], cards_universe)
-        for i, j in lat.edges:
-            for k, l in lat.edges:
-                if j == k:
-                    assert entails(
-                        [lat.classes[i][0]], lat.classes[l][0], cards_universe
-                    )
+    def test_prefix_names(self):
+        u = Universe({"s": ("a_", "a", "aB", "A")}, [("p_", ("s",)), ("p", ("s", "s"))])
+        texts = [formula_to_str(f) for f in u.negations + u.atoms]
+        assert texts[:3] == ["!p(A,A)", "!p(A,a)", "!p(A,aB)"]
+        assert texts == sorted(texts)
 
 
 @pytest.fixture(scope="module")

@@ -34,6 +34,7 @@ from helpers import (
     random_consistent_formulas,
     random_formula,
     random_monotone_timeline,
+    random_named_universe,
     random_timeline,
     random_universe,
 )
@@ -209,6 +210,17 @@ class TestRoundTrip:
         t = parse_story(text)
         assert len(t.steps[1]) == 1
         assert parse_story(serialize_timeline(t)).steps == t.steps
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_every_universe_name_roundtrips(self, seed):
+        """Names that prefix one another, in any declaration order, print
+        as text that parses back to the same universe and steps."""
+        rng = random.Random(seed)
+        u = random_named_universe(rng, 6)
+        t = random_timeline(rng, u, 3)
+        again = parse_story(serialize_timeline(t))
+        assert again.universe == u and again.steps == t.steps
 
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
