@@ -17,6 +17,7 @@ table of these ``2**n``-bit columns, and a sample's rank table holds its own
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
@@ -106,12 +107,13 @@ class Implies(Formula):
 class Universe:
     """Typed constant sorts plus relation signatures.
 
-    ``sorts`` maps each sort name to its ordered constants; ``relations`` is a
-    sequence of ``(name, argument_sorts)`` pairs. Grounding is canonical:
+    ``sorts`` maps each sort name to its ordered constants; ``relations`` is an
+    iterable of ``(name, argument_sorts)`` pairs. Grounding is canonical:
     atoms are sorted lexicographically by relation name then argument tuple,
-    which fixes each atom's index for the life of the universe. Names match
-    ``NAME_RE`` and no relation is ``true`` or ``false``, so every atom
-    prints as story text that parses back, and atom order is text order.
+    which fixes each atom's index for the life of the universe. Declarations
+    follow ``declare_sort`` and ``declare_relation``, as story lines do, so
+    every atom prints as story text that parses back, and atom order is
+    text order.
 
     ``negations`` holds one ``Not(atom)`` per atom, in atom order, built
     with the universe so that literal-producing code shares those objects.
@@ -130,32 +132,16 @@ class Universe:
     def __init__(
         self,
         sorts: Mapping[str, Sequence[str]],
-        relations: Sequence[tuple[str, Sequence[str]]],
+        relations: Iterable[tuple[str, Sequence[str]]],
         bound: int | None = None,
     ):
         self.bound = DEFAULT_ATOM_BOUND if bound is None else bound
         self._sorts: dict[str, tuple[str, ...]] = {}
-        for name, constants in sorts.items():
-            constants = tuple(constants)
-            _check_names(name, *constants)
-            if len(set(constants)) != len(constants):
-                raise UniverseError(f"duplicate constant in sort '{name}'")
-            self._sorts[name] = constants
-
         self._relations: dict[str, tuple[str, ...]] = {}
+        for name, constants in sorts.items():
+            declare_sort(self._sorts, name, constants)
         for rel, arg_sorts in relations:
-            arg_sorts = tuple(arg_sorts)
-            _check_names(rel)
-            if rel in ("true", "false"):
-                raise UniverseError(f"relation '{rel}' would read as a formula constant")
-            if rel in self._relations:
-                raise UniverseError(f"duplicate relation '{rel}'")
-            if not arg_sorts:
-                raise UniverseError(f"relation '{rel}' must have arity >= 1")
-            for s in arg_sorts:
-                if s not in self._sorts:
-                    raise UniverseError(f"relation '{rel}' uses undeclared sort '{s}'")
-            self._relations[rel] = arg_sorts
+            declare_relation(self._relations, self._sorts, rel, arg_sorts)
 
         atoms = []
         for rel, arg_sorts in self._relations.items():
@@ -165,9 +151,7 @@ class Universe:
         self.negations: tuple[Not, ...] = tuple(Not(a) for a in atoms)
         self._index: dict[Atom, int] = {a: i for i, a in enumerate(atoms)}
         self._columns: dict[int, int] = {}
-        self._hash = hash(
-            (tuple(self._sorts.items()), tuple(self._relations.items()))
-        )
+        self._hash = hash((tuple(self._sorts.items()), tuple(self._relations.items())))
 
     @property
     def sorts(self) -> Mapping[str, tuple[str, ...]]:
@@ -198,8 +182,7 @@ class Universe:
             raise UnknownAtomError(self._describe_bad_atom(atom)) from None
 
     def check_atom(self, atom: Atom) -> None:
-        if atom not in self._index:
-            raise UnknownAtomError(self._describe_bad_atom(atom))
+        self.atom_index(atom)
 
     def _describe_bad_atom(self, atom: Atom) -> str:
         rel = self._relations.get(atom.relation)
@@ -258,14 +241,42 @@ def _check_names(*names: str) -> None:
             raise UniverseError(f"{name!r} is not a name of the story grammar")
 
 
-def _ground_relation(
-    rel: str, arg_sorts: tuple[str, ...], sorts: Mapping[str, tuple[str, ...]]
-) -> Iterator[Atom]:
-    pools = [sorts[s] for s in arg_sorts]
-    stack: list[tuple[str, ...]] = [()]
-    for pool in pools:
-        stack = [prefix + (c,) for prefix in stack for c in pool]
-    for args in stack:
+def declare_sort(sorts: dict, name: str, constants: Iterable[str]) -> None:
+    """Add the sort ``name`` to ``sorts``. UniverseError when a name is
+    outside ``NAME_RE``, the sort is taken, or there are no constants or
+    one repeats."""
+    constants = tuple(constants)
+    _check_names(name, *constants)
+    if name in sorts:
+        raise UniverseError(f"duplicate sort '{name}'")
+    if not constants:
+        raise UniverseError(f"sort '{name}' has no constants")
+    if len(set(constants)) != len(constants):
+        raise UniverseError(f"duplicate constant in sort '{name}'")
+    sorts[name] = constants
+
+
+def declare_relation(relations: dict, sorts: Mapping, name: str, arg_sorts: Iterable[str]) -> None:
+    """Add the relation ``name`` over ``arg_sorts`` to ``relations``.
+    UniverseError when the name is outside ``NAME_RE``, is ``true`` or
+    ``false`` or is taken, or there are no argument sorts or one is not in
+    ``sorts``."""
+    arg_sorts = tuple(arg_sorts)
+    _check_names(name)
+    if name in ("true", "false"):
+        raise UniverseError(f"relation '{name}' would read as a formula constant")
+    if name in relations:
+        raise UniverseError(f"duplicate relation '{name}'")
+    if not arg_sorts:
+        raise UniverseError(f"relation '{name}' must have arity >= 1")
+    for s in arg_sorts:
+        if s not in sorts:
+            raise UniverseError(f"relation '{name}' uses undeclared sort '{s}'")
+    relations[name] = arg_sorts
+
+
+def _ground_relation(rel: str, arg_sorts: tuple[str, ...], sorts: Mapping) -> Iterator[Atom]:
+    for args in itertools.product(*(sorts[s] for s in arg_sorts)):
         yield Atom(rel, args)
 
 
@@ -376,9 +387,15 @@ def truth_column(f: Formula, table: ColumnTable) -> int:
 def check_bound(universe: Universe) -> None:
     """Refuse exhaustive work over a universe with more atoms than its
     ``bound``, and over universes beyond ``ATOM_CEILING`` whatever the bound."""
-    limit = min(universe.bound, ATOM_CEILING)
-    if universe.atom_count > limit:
-        raise BoundExceededError(universe.atom_count, limit)
+    check_atom_count(universe.atom_count, universe.bound)
+
+
+def check_atom_count(atom_count: int, bound: int | None) -> None:
+    """``check_bound`` for a universe of ``atom_count`` atoms and ``bound``
+    (``DEFAULT_ATOM_BOUND`` when None) that need not be built yet."""
+    limit = min(DEFAULT_ATOM_BOUND if bound is None else bound, ATOM_CEILING)
+    if atom_count > limit:
+        raise BoundExceededError(atom_count, limit)
 
 
 def models_column(props: Iterable[Formula], universe: Universe) -> int:

@@ -166,11 +166,11 @@ def _relevances(
     true, false = state.cube
     held, decided = false | true << n, true | false
 
-    def row(sub: int, n_a: int) -> list[float]:
+    def row(sub: int, n_a: int, width: int) -> list[float]:
         # int / int is correctly rounded, so these equal float(Fraction(...)).
         h = binary_entropy(n_a / total)
         out = []
-        for b, col in consequents:
+        for b, col in consequents[:width]:
             if decided >> b % n & 1:
                 out.append(h)
             else:
@@ -178,16 +178,17 @@ def _relevances(
                 out.append(h - binary_entropy((hits if b >= n else n_a - hits) / n_a))
         return out
 
-    width = len(consequents)
     whole: list[float] = []  # the row of the whole prior, once an antecedent selects it
     values: list[float] = []
     for r, (a, column) in enumerate(antecedents):
+        # only the last row can be cut short by the cap
+        width = min(len(consequents), cells - r * len(consequents))
         if held >> a & 1:
-            whole = whole or row(members, total)
-            values.extend(whole[: cells - r * width])
+            whole = whole or row(members, total, width)
+            values.extend(whole[:width])
         elif not decided >> a % n & 1:
             sub = _holding(members, column, a, n)
-            values.extend(row(sub, sub.bit_count())[: cells - r * width])
+            values.extend(row(sub, sub.bit_count(), width))
     return values
 
 

@@ -30,6 +30,8 @@ from .errors import MetricError
 from .filters import extend_to_ultrafilter, ultraproduct
 from .logic import DEFAULT_ATOM_BOUND, Atom, Not, Universe, World
 from .metrics import (
+    KernelReport,
+    KernelStep,
     Question,
     classify_satellites,
     detect_kernels,
@@ -237,6 +239,12 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
 
     config_questions = _config_questions(config.questions, universe)
 
+    if len(states) >= 2:
+        kernels = classify_satellites(states, detect_kernels(states, config.theta), config.epsilon)
+    else:
+        kernels = KernelReport((KernelStep(0, Fraction(0), False),))
+        warnings.append("kernel detection skipped: timeline has a single step")
+
     steps_out = []
     samples = []
     for t, state in enumerate(states):
@@ -252,24 +260,10 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
                 "world_coherence": None if coherence is None else rational(coherence),
                 "world_coherence_mean_entropy": entropy,
                 "world_coherence_questions": count,
+                "changed_fraction": rational(kernels.steps[t].changed_fraction),
+                "is_kernel": kernels.steps[t].is_kernel,
             }
         )
-
-    if len(states) >= 2:
-        kernels = detect_kernels(states, config.theta)
-        kernels = classify_satellites(states, kernels, config.epsilon)
-    else:
-        kernels = None
-        warnings.append("kernel detection skipped: timeline has a single step")
-
-    for t, step_row in enumerate(steps_out):
-        if kernels is not None:
-            ks = kernels.steps[t]
-            step_row["changed_fraction"] = rational(ks.changed_fraction)
-            step_row["is_kernel"] = ks.is_kernel
-        else:
-            step_row["changed_fraction"] = rational(Fraction(0))
-            step_row["is_kernel"] = False
 
     # The narrator sends every atom but those of rename targets that are not
     # also sources, which would collide with their renamed sources on the wire.
@@ -280,16 +274,15 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
     conv = accuracy_report(truth, reader_rt, correspondence)
 
     etc_rows = []
-    if kernels is not None:
-        for k in kernels.kernels:
-            row: dict[str, Any] = {"kernel_step": k, "t_then": k - 1, "t_now": k}
-            try:
-                value = transitional_coherence(samples[k - 1], truth, kernels, states, k - 1, k)
-                row["value"] = rational(value)
-            except MetricError as e:
-                row["value"] = None
-                warnings.append(f"transitional coherence at kernel t={k} skipped: {e}")
-            etc_rows.append(row)
+    for k in kernels.kernels:
+        row: dict[str, Any] = {"kernel_step": k, "t_then": k - 1, "t_now": k}
+        try:
+            value = transitional_coherence(samples[k - 1], truth, kernels, states, k - 1, k)
+            row["value"] = rational(value)
+        except MetricError as e:
+            row["value"] = None
+            warnings.append(f"transitional coherence at kernel t={k} skipped: {e}")
+        etc_rows.append(row)
 
     satellites = [
         {
@@ -298,7 +291,7 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
             "mean_relevance": link.mean_relevance,
             "question_count": link.question_count,
         }
-        for link in (kernels.satellites if kernels else ())
+        for link in kernels.satellites
     ]
 
     final = states[-1]

@@ -22,6 +22,7 @@ The serializer emits the same grammar bit-exactly for canonical timelines, so
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, TextIO
@@ -44,7 +45,10 @@ from .logic import (
     Not,
     Or,
     Universe,
+    check_atom_count,
     consistent,
+    declare_relation,
+    declare_sort,
     models_column,
     truth_column,
 )
@@ -335,10 +339,10 @@ class Timeline:
                 raise UniverseMismatchError("timeline step over a different universe")
 
 
-_SORT_RE = re.compile(r"sort\s+([A-Za-z_][A-Za-z0-9_]*)\s*:\s*(.*)$")
-_REL_RE = re.compile(
-    r"rel\s+([A-Za-z_][A-Za-z0-9_]*)\s*\(\s*([^)]*)\s*\)\s*$"
-)
+_DECLARATION_RES = {
+    "sort": re.compile(rf"sort\s+({NAME_RE.pattern})\s*:\s*(.*)$"),
+    "rel": re.compile(rf"rel\s+({NAME_RE.pattern})\s*\(\s*([^)]*)\s*\)\s*$"),
+}
 _BLOCK_RE = re.compile(r"t\s*=\s*(\d+)\s*:\s*$")
 
 
@@ -346,18 +350,22 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
     """Parse a story file into a Timeline.
 
     Diagnostics carry line and column. Raises ParseError for syntax and
-    naming problems (including an empty timeline and add/remove conflicts)
+    naming problems, including an empty timeline, add/remove conflicts (at
+    the block's line) and a declaration ``logic`` refuses (at its own line),
     and InconsistentStepError when a step's accumulated fabula is
     unsatisfiable. ``bound`` becomes the universe's enumeration bound
     (``DEFAULT_ATOM_BOUND`` when None), which every later exhaustive
-    operation on the timeline reads; a universe over it is refused here.
+    operation on the timeline reads; a universe over it is refused here,
+    from its declared sizes, before any atom is grounded.
     """
     text = source.read() if hasattr(source, "read") else source
     sorts: dict[str, tuple[str, ...]] = {}
-    relations: list[tuple[str, tuple[str, ...]]] = []
+    relations: dict[str, tuple[str, ...]] = {}
+    # each declaration as (is a rel, line, column, name, listed items)
+    declarations: list[tuple[bool, int, int, str, list[str]]] = []
     universe: Universe | None = None
-
-    blocks: list[tuple[int, int, list[tuple[str, Formula, int]]]] = []
+    # each block's line and the formulas it adds ("+") and removes ("-")
+    blocks: list[tuple[int, dict[str, set[Formula]]]] = []
     parsed: dict[str, Formula] = {}
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -365,94 +373,65 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
         stripped = line.strip()
         if not stripped:
             continue
-        indent = len(line) - len(line.lstrip())
+        at = len(line) - len(line.lstrip()) + 1
 
-        if stripped.startswith("sort ") or stripped == "sort":
+        keyword = stripped.partition(" ")[0]
+        if keyword in _DECLARATION_RES:
             if universe is not None:
-                raise ParseError(
-                    "declarations must precede timeline blocks", line_no, indent + 1
-                )
-            m = _SORT_RE.match(stripped)
+                raise ParseError("declarations must precede timeline blocks", line_no, at)
+            m = _DECLARATION_RES[keyword].match(stripped)
             if not m:
-                raise ParseError("malformed sort declaration", line_no, indent + 1)
-            name, rest = m.group(1), m.group(2)
-            if name in sorts:
-                raise ParseError(f"duplicate sort '{name}'", line_no, indent + 1)
-            constants = tuple(c.strip() for c in rest.split(",") if c.strip())
-            if not constants or not all(NAME_RE.fullmatch(c) for c in constants):
-                raise ParseError(
-                    f"sort '{name}' needs a comma-separated list of names",
-                    line_no,
-                    indent + 1,
-                )
-            sorts[name] = constants
-            continue
-
-        if stripped.startswith("rel ") or stripped == "rel":
-            if universe is not None:
-                raise ParseError(
-                    "declarations must precede timeline blocks", line_no, indent + 1
-                )
-            m = _REL_RE.match(stripped)
-            if not m:
-                raise ParseError("malformed rel declaration", line_no, indent + 1)
-            name, rest = m.group(1), m.group(2)
-            arg_sorts = tuple(s.strip() for s in rest.split(",") if s.strip())
-            if not arg_sorts or not all(NAME_RE.fullmatch(s) for s in arg_sorts):
-                raise ParseError(
-                    f"relation '{name}' needs a comma-separated sort list",
-                    line_no,
-                    indent + 1,
-                )
-            relations.append((name, arg_sorts))
+                raise ParseError(f"malformed {keyword} declaration", line_no, at)
+            items = [i.strip() for i in m.group(2).split(",") if i.strip()]
+            declarations.append((keyword == "rel", line_no, at, m.group(1), items))
             continue
 
         m = _BLOCK_RE.match(stripped)
         if m:
             if universe is None:
-                try:
-                    universe = Universe(sorts, relations, bound)
-                except UniverseError as e:
-                    raise ParseError(str(e), line_no, indent + 1) from None
+                # sorts first, so a relation may use a sort declared below it
+                for is_rel, decl_line, decl_at, name, items in sorted(declarations):
+                    try:
+                        if is_rel:
+                            declare_relation(relations, sorts, name, items)
+                        else:
+                            declare_sort(sorts, name, items)
+                    except UniverseError as e:
+                        raise ParseError(str(e), decl_line, decl_at) from None
+                atom_count = sum(math.prod(len(sorts[s]) for s in a) for a in relations.values())
+                check_atom_count(atom_count, bound)
+                universe = Universe(sorts, relations.items(), bound)
             k = int(m.group(1))
             if k != len(blocks):
-                raise ParseError(
-                    f"expected block t={len(blocks)}, got t={k}", line_no, indent + 1
-                )
-            blocks.append((k, line_no, []))
+                raise ParseError(f"expected block t={len(blocks)}, got t={k}", line_no, at)
+            blocks.append((line_no, {"+": set(), "-": set()}))
             continue
 
         if stripped[0] in "+-":
             if not blocks:
-                raise ParseError(
-                    "assertion outside any t= block", line_no, indent + 1
-                )
-            sign = stripped[0]
+                raise ParseError("assertion outside any t= block", line_no, at)
             body = stripped[1:]
             # each distinct assertion text is parsed once
             f = parsed.get(body)
             if f is None:
-                f = parsed[body] = parse_formula(body, universe, line_no, indent + 1)
-            blocks[-1][2].append((sign, f, line_no))
+                f = parsed[body] = parse_formula(body, universe, line_no, at)
+            blocks[-1][1][stripped[0]].add(f)
             continue
 
-        raise ParseError(f"unrecognized line: '{stripped}'", line_no, indent + 1)
+        raise ParseError(f"unrecognized line: '{stripped}'", line_no, at)
 
     if not blocks:
         raise ParseError("empty timeline: no t= blocks", len(text.splitlines()) + 1, 1)
 
-    assert universe is not None
     steps: list[Fabula] = []
     fab = Fabula(universe, ())
-    for k, block_line, entries in blocks:
-        additions = {f for sign, f, _ in entries if sign == "+"}
-        removals = {f for sign, f, _ in entries if sign == "-"}
-        overlap = additions & removals
-        if overlap:
-            first = min(formula_to_str(f) for f in overlap)
-            raise ParseError(f"add/remove conflict on '{first}'", block_line, 1)
+    for k, (block_line, edit) in enumerate(blocks):
         try:
-            fab = apply_transition(fab, TransitionEdit(additions, removals))
+            transition = TransitionEdit(edit["+"], edit["-"])
+        except ValueError as e:  # a formula both added and removed
+            raise ParseError(str(e), block_line, 1) from None
+        try:
+            fab = apply_transition(fab, transition)
         except InconsistentFabulaError as e:
             raise InconsistentStepError(k, e.conflict, block_line) from e
         steps.append(fab)

@@ -7,7 +7,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from storyworlds import cli
+from storyworlds import cli, logic
 from storyworlds.cli import main
 from storyworlds.conveyance import evolve, parse_channel_spec
 from storyworlds.logic import Universe
@@ -397,6 +397,24 @@ class TestAtomCeiling:
         assert main(["validate", str(p), "--bound", "40"]) == 1
         err = capsys.readouterr().err
         assert "bound of 26" in err and "ceiling" in err and "Traceback" not in err
+
+    def test_refused_before_any_atom_is_grounded(self, tmp_path, capsys, monkeypatch):
+        """A story is sized from its declarations: a ternary relation over
+        100 constants (10**6 atoms) is refused without grounding one."""
+
+        def never(*_):
+            raise AssertionError("an atom was grounded")
+
+        monkeypatch.setattr(logic, "_ground_relation", never)
+        p = tmp_path / "cube.story"
+        p.write_text(
+            "sort s: " + ", ".join(f"c{i}" for i in range(100))
+            + "\nrel r(s, s, s)\n\nt=0:\n+ r(c0, c0, c0)\n"
+        )
+        assert main(["validate", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "1000000 ground atoms, exceeding the enumeration bound of 24" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("bound", ["25", "26"])
     def test_analyze_reaches_bounds_above_the_default(self, tmp_path, bound):

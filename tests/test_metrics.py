@@ -396,6 +396,33 @@ def test_kernel_question_cap(reveal_states):
             assert kernel_questions(reveal_states, 3) == qs[:cap]
 
 
+#: Beliefs grow from p(a) to p(a..k) without a kernel; at t=5 three of them
+#: go and seven q literals arrive, a kernel whose 11 x 7 question grid the
+#: cap of 64 cuts to one cell in its tenth row, p(j), which steps 1 to 3
+#: leave undecided.
+CAPPED_STORY = """\
+sort c: a, b, c, d, e, f, g, h, i, j, k
+sort d: d0, d1, d2, d3, d4, d5, d6
+rel p(c)
+rel q(d)
+
+t=0:
++ p(a)
+t=1:
++ p(b)
+t=2:
++ p(c) & p(d)
+t=3:
++ p(e) & p(f) & p(g) & p(h)
+t=4:
++ p(i) & p(j) & p(k)
+t=5:
+- p(e) & p(f) & p(g) & p(h)
++ p(e)
++ q(d0) & q(d1) & q(d2) & q(d3) & q(d4) & q(d5) & q(d6)
+"""
+
+
 class _CountedColumn(int):
     """An atom column that records each AND taken with it."""
 
@@ -507,12 +534,19 @@ class TestSatellitesAgainstOracle:
 
     def test_builds_each_literal_column_once_per_kernel(self, twist_timeline):
         """Each used literal's atom column is looked up at most once per
-        kernel, and only an antecedent row or a cell that the prior leaves
-        undecided takes an AND (and its popcount) with one."""
-        states = evolve(twist_timeline, Channel.identity())
+        kernel, and only an antecedent row or a cell inside the question
+        cap that the prior leaves undecided takes an AND (and its popcount)
+        with one. In ``CAPPED_STORY`` the cap cuts a row that the first
+        three priors leave open."""
+        for timeline in (twist_timeline, parse_story(CAPPED_STORY)):
+            self._check_column_use(timeline)
+
+    @staticmethod
+    def _check_column_use(timeline):
+        states = evolve(timeline, Channel.identity())
         report = detect_kernels(states)
         expected = classify_satellites(states, report).satellites
-        used = bound = every_cell = 0
+        used = exact = every_cell = 0
         for k in report.kernels:
             grid = kernel_questions(states, k)
             rows = list(dict.fromkeys(q.antecedent for q in grid))
@@ -521,12 +555,21 @@ class TestSatellitesAgainstOracle:
             for s in range(1, k):
                 if s in report.kernels:
                     continue
-                decided = {negate(lit) for lit in states[s].beliefs} | states[s].beliefs
-                open_rows = sum(1 for a in rows if a not in decided)
-                open_columns = sum(1 for b in columns if b not in decided)
-                # each open row takes its own AND, then one per open cell;
-                # the rows the prior decides true share one row of cells
-                bound += open_rows * (1 + open_columns) + open_columns
+                beliefs = states[s].beliefs
+                decided = {negate(lit) for lit in beliefs} | beliefs
+                whole_row = False
+                for a in rows:
+                    open_cells = sum(
+                        1 for q in grid if q.antecedent == a and q.consequent not in decided
+                    )
+                    # an open row takes its own AND, then one per open cell
+                    # of the capped grid; the rows the prior decides true
+                    # share one row of cells, scored where first needed
+                    if a not in decided:
+                        exact += 1 + open_cells
+                    elif a in beliefs and not whole_row:
+                        exact += open_cells
+                        whole_row = True
                 every_cell += len(rows) * (1 + len(columns))
         lookups, ands = [], []
         original = Universe.atom_column
@@ -538,7 +581,7 @@ class TestSatellitesAgainstOracle:
         with patch.object(Universe, "atom_column", counted):
             assert classify_satellites(states, report).satellites == expected
         assert 0 < len(lookups) <= used
-        assert 0 < len(ands) <= bound < every_cell
+        assert 0 < len(ands) == exact < every_cell
 
     @settings(max_examples=60, deadline=None)
     @given(state_series(), st.data())

@@ -144,6 +144,47 @@ class TestParseStory:
             parse_story("sort s: a\nrel p(s)\n\nt=0:\n+ p(a)\n- p(a)\n")
         assert "add/remove conflict" in str(exc.value)
 
+    def test_add_remove_conflict_is_reported_at_its_block(self):
+        text = "sort s: a, b\nrel p(s)\n\nt=0:\n+ p(a)\n\nt=1:\n- p(b)\n+ p(b)\n- p(a)\n+ p(a)\n"
+        with pytest.raises(ParseError) as exc:
+            parse_story(text)
+        assert (exc.value.line, exc.value.column) == (7, 1)
+        assert str(exc.value) == "7:1: add/remove conflict: p(a), p(b)"
+
+    @pytest.mark.parametrize(
+        "declarations, message",
+        [
+            ("sort s: a\n  sort c: a, 1b", "'1b' is not a name of the story grammar"),
+            ("sort s: a\n  rel 1p(s)", "malformed rel declaration"),
+            ("sort s: a\n  sort s: b", "duplicate sort 's'"),
+            ("sort s: a\n  sort c: b, b", "duplicate constant in sort 'c'"),
+            ("sort s: a\nrel p(s)\n  rel p(s, s)", "duplicate relation 'p'"),
+            ("sort s: a\n  rel true(s)", "relation 'true' would read as a formula constant"),
+            ("sort s: a\n  rel false(s)", "relation 'false' would read as a formula constant"),
+            ("sort s: a\n  rel q(s, c)", "relation 'q' uses undeclared sort 'c'"),
+            ("sort s: a\n  sort c: ,", "sort 'c' has no constants"),
+            ("sort s: a\n  rel q( , )", "relation 'q' must have arity >= 1"),
+        ],
+        ids=[
+            "constant-name", "relation-name", "duplicate-sort", "duplicate-constant",
+            "duplicate-relation", "true", "false", "undeclared-sort", "no-constants",
+            "no-argument-sorts",
+        ],
+    )
+    def test_declaration_errors_carry_the_declaring_line(self, declarations, message):
+        """Each universe rule is checked at the line that declares, not
+        where the universe is first needed."""
+        text = declarations + "\nrel p0(s)\n\nt=0:\n+ p0(a)\n"
+        line = next(i for i, l in enumerate(text.splitlines(), 1) if l.startswith("  "))
+        with pytest.raises(ParseError) as exc:
+            parse_story(text)
+        assert (exc.value.line, exc.value.column) == (line, 3)
+        assert str(exc.value) == f"{line}:3: {message}"
+
+    def test_relation_may_use_a_sort_declared_below_it(self):
+        tl = parse_story("sort s: a\nrel q(s, c)\nsort c: b\n\nt=0:\n+ q(a, b)\n")
+        assert tl.universe.relations == {"q": ("s", "c")}
+
     def test_inconsistent_step_reports_conflict(self):
         with pytest.raises(InconsistentStepError) as exc:
             parse_story("sort s: a\nrel p(s)\n\nt=0:\n+ p(a)\n+ !p(a)\n")
