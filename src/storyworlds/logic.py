@@ -392,7 +392,11 @@ def check_bound(universe: Universe) -> None:
 
 def check_atom_count(atom_count: int, bound: int | None) -> None:
     """``check_bound`` for a universe of ``atom_count`` atoms and ``bound``
-    (``DEFAULT_ATOM_BOUND`` when None) that need not be built yet."""
+    (``DEFAULT_ATOM_BOUND`` when None) that need not be built yet. A bound
+    below 1 is a ValueError whatever the atom count: this is the one check
+    of the bound's range."""
+    if bound is not None and bound < 1:
+        raise ValueError("bound must be positive")
     limit = min(DEFAULT_ATOM_BOUND if bound is None else bound, ATOM_CEILING)
     if atom_count > limit:
         raise BoundExceededError(atom_count, limit)

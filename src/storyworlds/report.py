@@ -11,9 +11,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -28,7 +30,7 @@ from .conveyance import (
 )
 from .errors import MetricError
 from .filters import extend_to_ultrafilter, ultraproduct
-from .logic import DEFAULT_ATOM_BOUND, Atom, Not, Universe, World
+from .logic import DEFAULT_ATOM_BOUND, Atom, Not, Universe, World, check_atom_count
 from .metrics import (
     KernelReport,
     KernelStep,
@@ -81,8 +83,7 @@ class RunConfig:
     def __post_init__(self):
         if self.sample_k < 1:
             raise ValueError("sample_k must be positive")
-        if self.bound < 1:
-            raise ValueError("bound must be positive")
+        check_atom_count(0, self.bound)  # the one range check of a bound
         if not 0 <= self.theta <= 1:
             raise ValueError("theta must lie in [0, 1]")
         if not 0 <= self.epsilon <= 1:
@@ -337,9 +338,50 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
 
 
 def render_json(report: Mapping[str, Any]) -> bytes:
-    return (
-        json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
-    ).encode("utf-8")
+    """The report as UTF-8 JSON: exactly the bytes of ``json.dumps(report,
+    sort_keys=True, indent=2, ensure_ascii=False)`` plus a newline, on Python
+    3.10 to 3.13. ``json`` encodes an indented dump in pure Python (3.11 uses
+    its C encoder only without ``indent``), so ``_json_text`` writes it
+    instead, matching values by exact type: dicts with string keys, lists,
+    tuples, str, int, float, bool and None; anything else is a TypeError."""
+    return (_json_text(report, "\n") + "\n").encode("utf-8")
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+_JSON_SCALARS = {
+    str: encode_basestring,
+    int: int.__repr__,
+    float: _json_float,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _json_text(value: Any, newline: str) -> str:
+    """``value`` as indented JSON whose lines start with ``newline``."""
+    kind = type(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [f"{encode_basestring(k)}: {_json_text(value[k], inner)}" for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind not in _JSON_SCALARS:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+    return _JSON_SCALARS[kind](value)
 
 
 def render_csv(report: Mapping[str, Any]) -> bytes:

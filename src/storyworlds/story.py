@@ -102,103 +102,103 @@ def _wrap(f: Formula, minimum: int) -> str:
 MAX_FORMULA_DEPTH = 100
 
 
+#: One token of formula text, after the spaces and tabs before it: ``->``, a
+#: name, any other single character, or "" at the end of the text.
+_TOKEN_RE = re.compile(rf"[ \t]*(->|{NAME_RE.pattern}|.|\Z)", re.S)
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+
 class _FormulaParser:
-    """Recursive-descent parser for a single formula string."""
+    """Recursive-descent parser for a single formula string.
+
+    The text before any ``#`` becomes a token list from one ``findall`` of
+    ``_TOKEN_RE``, walked by index; the last token is always "". Columns are
+    recomputed, from a ``finditer`` of the same pattern, only for an error.
+    """
 
     def __init__(self, text: str, universe: Universe, line: int, col_offset: int):
         self.text = text.split("#", 1)[0]
+        self.tokens = _TOKEN_RE.findall(self.text)
         self.universe = universe
         self.line = line
         self.col_offset = col_offset
-        self.pos = 0
+        self.i = 0
         self.depth = 0
 
-    def fail(self, message: str, pos: int | None = None):
-        at = self.pos if pos is None else pos
+    def fail(self, message: str, i: int | None = None, after: bool = False):
+        """Raise at the start of token ``i`` (default: the current one), or
+        just past its end when ``after``."""
+        m = list(_TOKEN_RE.finditer(self.text))[self.i if i is None else i]
+        at = m.end(1) if after else m.start(1)
         raise ParseError(message, self.line, self.col_offset + at + 1)
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos : self.pos + 2]
-
-    def eat(self, token: str) -> bool:
-        self.skip_ws()
-        if self.text.startswith(token, self.pos):
-            self.pos += len(token)
-            return True
-        return False
-
     def expect(self, token: str) -> None:
-        if not self.eat(token):
+        if self.tokens[self.i] != token:
             self.fail(f"expected '{token}'")
+        self.i += 1
 
-    def name(self) -> tuple[str, int]:
-        self.skip_ws()
-        m = NAME_RE.match(self.text, self.pos)
-        if not m:
+    def name(self) -> str:
+        word = self.tokens[self.i]
+        if word[:1] not in _NAME_START:
             self.fail("expected a name")
-        self.pos = m.end()
-        return m.group(), m.start()
+        self.i += 1
+        return word
 
     def parse(self) -> Formula:
         f = self.implication()
-        self.skip_ws()
-        if self.pos != len(self.text):
+        if self.tokens[self.i]:
             self.fail("unexpected trailing input")
         return f
 
     def nested(self, parse) -> Formula:
-        """``parse()`` one nesting level further in."""
+        """Step past the current token and ``parse()`` one nesting level further in."""
         self.depth += 1
         if self.depth > MAX_FORMULA_DEPTH:
-            self.fail(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+            self.fail(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels", after=True)
+        self.i += 1
         f = parse()
         self.depth -= 1
         return f
 
     def implication(self) -> Formula:
         left = self.disjunction()
-        if self.eat("->"):
+        if self.tokens[self.i] == "->":
             return Implies(left, self.nested(self.implication))
         return left
 
     def disjunction(self) -> Formula:
         items = [self.conjunction()]
-        while self.peek()[:1] == "|":
-            self.eat("|")
+        while self.tokens[self.i] == "|":
+            self.i += 1
             items.append(self.conjunction())
         return items[0] if len(items) == 1 else Or(tuple(items))
 
     def conjunction(self) -> Formula:
         items = [self.unary()]
-        while self.peek()[:1] == "&":
-            self.eat("&")
+        while self.tokens[self.i] == "&":
+            self.i += 1
             items.append(self.unary())
         return items[0] if len(items) == 1 else And(tuple(items))
 
     def unary(self) -> Formula:
-        if self.eat("!"):
+        if self.tokens[self.i] == "!":
             return Not(self.nested(self.unary))
         return self.primary()
 
     def primary(self) -> Formula:
-        if self.eat("("):
+        if self.tokens[self.i] == "(":
             f = self.nested(self.implication)
             self.expect(")")
             return f
-        word, start = self.name()
-        if word == "true":
-            return Constant(True)
-        if word == "false":
-            return Constant(False)
+        start = self.i
+        word = self.name()
+        if word in ("true", "false"):
+            return Constant(word == "true")
         self.expect("(")
-        args = [self.name()[0]]
-        while self.eat(","):
-            args.append(self.name()[0])
+        args = [self.name()]
+        while self.tokens[self.i] == ",":
+            self.i += 1
+            args.append(self.name())
         self.expect(")")
         atom = Atom(word, tuple(args))
         try:

@@ -3,8 +3,9 @@
 Kept deliberately naive and separate from the library's fast paths: world
 enumeration loops over every assignment calling evaluate, the world-set
 oracles loop over a set's worlds calling evaluate where the library works on
-truth columns, and the filter oracles check the axioms literally over all
-subset pairs.
+truth columns, the filter oracles check the axioms literally over all
+subset pairs, and the formula parser walks the text character by character
+where the library walks a token list.
 """
 
 from __future__ import annotations
@@ -12,9 +13,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from storyworlds import metrics
-from storyworlds.logic import Not, Universe, World, evaluate
+from storyworlds.errors import ParseError, UnknownAtomError
+from storyworlds.logic import (
+    NAME_RE,
+    And,
+    Atom,
+    Constant,
+    Formula,
+    Implies,
+    Not,
+    Or,
+    Universe,
+    World,
+    evaluate,
+)
 from storyworlds.metrics import Question, SatelliteLink, binary_entropy
-from storyworlds.story import formula_to_str
+from storyworlds.story import MAX_FORMULA_DEPTH, formula_to_str
 
 
 def float_mean(values) -> float:
@@ -214,3 +228,117 @@ def weak_ultrafilter_oracle(members, base_size: int) -> bool:
         if (x in fam) != ((full ^ x) not in fam):
             return False
     return True
+
+
+class CharFormulaParser:
+    """Recursive-descent parser for a single formula string, one character
+    at a time: ``skip_ws``, ``peek`` and ``eat`` walk ``pos`` over the text."""
+
+    def __init__(self, text: str, universe: Universe, line: int, col_offset: int):
+        self.text = text.split("#", 1)[0]
+        self.universe = universe
+        self.line = line
+        self.col_offset = col_offset
+        self.pos = 0
+        self.depth = 0
+
+    def fail(self, message: str, pos: int | None = None):
+        at = self.pos if pos is None else pos
+        raise ParseError(message, self.line, self.col_offset + at + 1)
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos] in " \t":
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos : self.pos + 2]
+
+    def eat(self, token: str) -> bool:
+        self.skip_ws()
+        if self.text.startswith(token, self.pos):
+            self.pos += len(token)
+            return True
+        return False
+
+    def expect(self, token: str) -> None:
+        if not self.eat(token):
+            self.fail(f"expected '{token}'")
+
+    def name(self) -> tuple[str, int]:
+        self.skip_ws()
+        m = NAME_RE.match(self.text, self.pos)
+        if not m:
+            self.fail("expected a name")
+        self.pos = m.end()
+        return m.group(), m.start()
+
+    def parse(self) -> Formula:
+        f = self.implication()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            self.fail("unexpected trailing input")
+        return f
+
+    def nested(self, parse) -> Formula:
+        """``parse()`` one nesting level further in."""
+        self.depth += 1
+        if self.depth > MAX_FORMULA_DEPTH:
+            self.fail(f"formula nested deeper than {MAX_FORMULA_DEPTH} levels")
+        f = parse()
+        self.depth -= 1
+        return f
+
+    def implication(self) -> Formula:
+        left = self.disjunction()
+        if self.eat("->"):
+            return Implies(left, self.nested(self.implication))
+        return left
+
+    def disjunction(self) -> Formula:
+        items = [self.conjunction()]
+        while self.peek()[:1] == "|":
+            self.eat("|")
+            items.append(self.conjunction())
+        return items[0] if len(items) == 1 else Or(tuple(items))
+
+    def conjunction(self) -> Formula:
+        items = [self.unary()]
+        while self.peek()[:1] == "&":
+            self.eat("&")
+            items.append(self.unary())
+        return items[0] if len(items) == 1 else And(tuple(items))
+
+    def unary(self) -> Formula:
+        if self.eat("!"):
+            return Not(self.nested(self.unary))
+        return self.primary()
+
+    def primary(self) -> Formula:
+        if self.eat("("):
+            f = self.nested(self.implication)
+            self.expect(")")
+            return f
+        word, start = self.name()
+        if word == "true":
+            return Constant(True)
+        if word == "false":
+            return Constant(False)
+        self.expect("(")
+        args = [self.name()[0]]
+        while self.eat(","):
+            args.append(self.name()[0])
+        self.expect(")")
+        atom = Atom(word, tuple(args))
+        try:
+            self.universe.check_atom(atom)
+        except UnknownAtomError as e:
+            self.fail(str(e), start)
+        return atom
+
+
+def parse_formula_oracle(
+    text: str, universe: Universe, line: int = 1, col_offset: int = 0
+) -> Formula:
+    """``story.parse_formula`` by the character-level parser."""
+    return CharFormulaParser(text, universe, line, col_offset).parse()

@@ -432,6 +432,19 @@ class TestAtomCeiling:
         err = capsys.readouterr().err
         assert "25 ground atoms, exceeding the enumeration bound of 24" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-5"])
+    @pytest.mark.parametrize("command", ["validate", "enumerate", "analyze"])
+    def test_bound_below_1_is_refused_alike(self, cards_story_path, capsys, command, bound):
+        assert main([command, str(cards_story_path), "--bound", bound]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: bound must be positive\n" and captured.out == ""
+
+    def test_config_bound_0_is_refused(self, cards_story_path, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"story": str(cards_story_path), "bound": 0}))
+        assert main(["analyze", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == "error: bound must be positive\n"
+
 
 class TestInProcessCalls:
     """``main`` builds its parser on the first call and shares it with every

@@ -29,6 +29,8 @@ from storyworlds.story import (
     serialize_timeline,
 )
 
+from oracles import parse_formula_oracle
+
 from helpers import (
     chain_story,
     random_consistent_formulas,
@@ -126,6 +128,70 @@ class TestFormulaGrammar:
     def test_sibling_groups_do_not_add_up(self, cards_universe):
         f = parse_formula(" & ".join(["(!(wears(jay,blue)))"] * 3 * MAX_FORMULA_DEPTH), cards_universe)
         assert len(f.items) == 3 * MAX_FORMULA_DEPTH
+
+
+# What a mutation inserts or substitutes: every token, the whitespace the
+# tokenizer drops, the characters it must keep (form feed, newline,
+# non-ASCII), comments, digits, constants and atoms the universe refuses.
+_MUTATION_PIECES = (
+    " ", "\t", "!", "&", "|", "->", "-", ">", "(", ")", ",", "#", "# c", "é", "\x0c",
+    "\n", "1", "_x", "true", "false", "wears", "jay", "sings(jay)", "wears(blue,jay)",
+)
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    for _ in range(rng.randrange(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        op = rng.randrange(3)
+        piece = rng.choice(_MUTATION_PIECES) if op != 1 else ""
+        text = text[:i] + piece + text[i + (op != 0) :]
+    return text + "\n" if rng.random() < 0.1 else text
+
+
+def _outcome(parse, text, universe):
+    """The parsed formula, or the ParseError's text, line and column."""
+    try:
+        return parse(text, universe, 3, 2)
+    except ParseError as e:
+        return (str(e), e.line, e.column)
+
+
+class TestParserOracle:
+    """``parse_formula`` against the character-level reference parser."""
+
+    def _bases(self, rng, universe):
+        atom = "wears(jay,blue)"
+        for n in (MAX_FORMULA_DEPTH, MAX_FORMULA_DEPTH + 1):
+            yield "(" * n + atom + ")" * n
+            yield "!" * n + atom
+            yield "wears(ali,red) -> " * n + atom
+            yield "!(" * (n // 2) + atom + ")" * (n // 2) + " -> " + "!" * (n - n // 2) + atom
+        while True:
+            text = formula_to_str(random_formula(rng, universe, 3))
+            if rng.random() < 0.3:
+                text = text.replace(" ", "\t")
+            if rng.random() < 0.2:
+                text += "  # a comment (with !"
+            yield text
+
+    def test_deep_texts_agree_unmutated(self, cards_universe):
+        bases = self._bases(random.Random(0), cards_universe)
+        for text in [next(bases) for _ in range(8)]:
+            want = _outcome(parse_formula_oracle, text, cards_universe)
+            assert _outcome(parse_formula, text, cards_universe) == want
+
+    def test_mutated_texts_agree(self, cards_universe):
+        rng = random.Random(19)
+        bases = self._bases(rng, cards_universe)
+        texts = [next(bases) for _ in range(400)]
+        errors = 0
+        for _ in range(20000):
+            text = _mutate(rng, rng.choice(texts))
+            want = _outcome(parse_formula_oracle, text, cards_universe)
+            assert _outcome(parse_formula, text, cards_universe) == want, repr(text)
+            errors += isinstance(want, tuple)
+        # both outcomes are well represented
+        assert 1000 < errors < 19000
 
 
 class TestParseStory:
