@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .errors import InconsistentStepError, StoryworldsError
 from .logic import Not
-from .report import RunConfig, merge_config, read_config_file, render_report, run_analysis
+from .report import RunConfig, merge_config, read_config_file, read_story, render_report, run_analysis
 from .story import formula_to_str, parse_story
 from .worlds import enumerate_models
 
@@ -33,15 +33,8 @@ EXIT_INCONSISTENT = 2
 EXIT_IO = 3
 
 
-def _read_story(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise ValueError(f"story file {path}: {e}") from None
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    text = _read_story(args.story)
+    text = read_story(args.story)
     timeline = parse_story(text, bound=args.bound)
     print(
         f"OK: {len(timeline.steps)} step(s), "
@@ -52,7 +45,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    text = _read_story(args.story)
+    text = read_story(args.story)
     timeline = parse_story(text, bound=args.bound)
     if not 0 <= args.t < len(timeline.steps):
         print(
@@ -75,7 +68,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     names = {f.name for f in fields(RunConfig)}
     values.update((k, v) for k, v in vars(args).items() if k in names and v is not None)
     config = merge_config(values)
-    story_text = _read_story(config.story)
+    story_text = read_story(config.story)
     report = run_analysis(config, story_text)
     payload = render_report(report, config.format)
     if config.out:

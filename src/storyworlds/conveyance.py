@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import ChannelError, InconsistentFabulaError, InconsistentStepError
 from .filters import WeakFilter, cube_literals, plausible_facts
@@ -30,7 +30,7 @@ from .story import (
     apply_transition,
     delta,
     formula_to_str,
-    parse_formula,
+    parse_formula_list,
 )
 from .worlds import WorldSet, enumerate_models
 
@@ -92,6 +92,7 @@ def parse_channel_spec(spec: str, universe: Universe) -> Channel:
     ``rename(old->new, ...)``. Formulas use the story grammar; rename targets
     must be declared in the universe with matching argument sorts.
     """
+    lead = len(spec) - len(spec.lstrip())
     spec = spec.strip()
     if spec == "identity":
         return Channel.identity()
@@ -100,12 +101,11 @@ def parse_channel_spec(spec: str, universe: Universe) -> Channel:
         raise ChannelError(f"malformed channel spec: '{spec}'")
     kind, payload = m
     if kind in ("drop", "corrupt"):
-        parts = [p.strip() for p in payload.split(";") if p.strip()]
-        if not parts:
+        # columns count from the spec as given, leading spaces included
+        formulas = frozenset(parse_formula_list(payload, universe, "channel", lead + len(kind) + 1))
+        if not formulas:
             raise ChannelError(f"{kind} channel needs at least one formula")
-        formulas = [parse_formula(p, universe) for p in parts]
-        ctor = Channel.drop if kind == "drop" else Channel.corrupt
-        return ctor(formulas)
+        return Channel(kind, formulas=formulas)
     # the third kind _match_payload matches: rename
     pairs = []
     for part in payload.split(","):
@@ -152,16 +152,11 @@ def unsent_relations(correspondence: Mapping[str, str] | None) -> frozenset[str]
     return frozenset(table.values()) - frozenset(table)
 
 
-def compress(world: World, importance: Callable[[Atom], bool] | None = None) -> Fabula:
-    """Compress a complete world into a fabula of its ground literals,
-    keeping only atoms that pass the importance predicate (default: all)."""
-    u = world.universe
-    literals = []
-    for i, atom in enumerate(u.atoms):
-        if importance is not None and not importance(atom):
-            continue
-        literals.append(atom if world.mask >> i & 1 else u.negations[i])
-    return Fabula(u, literals)
+def compress(world: World, channel: Channel = Channel()) -> Fabula:
+    """Compress a complete world into the fabula of ground literals the
+    narrator sends through ``channel``: all but those of its ``unsent_relations``."""
+    u, unsent = world.universe, unsent_relations(channel.rename_map())
+    return Fabula(u, [l for a, l in zip(u.atoms, world.literals()) if a.relation not in unsent])
 
 
 def _rewrite(
@@ -249,18 +244,18 @@ class ConveyanceReport:
 def accuracy_report(
     narrator_world: World,
     reader: ReaderState,
-    correspondence: Mapping[str, str] | None = None,
+    channel: Channel = Channel(),
 ) -> ConveyanceReport:
     """Compare each narrator atom's truth with the reader's decided beliefs.
 
-    ``correspondence`` maps narrator relation names into the reader's
-    universe (identity by default). Only atoms the narrator sends are
-    compared: atoms of ``unsent_relations(correspondence)`` are skipped.
+    ``channel``'s rename map carries narrator relation names into the
+    reader's universe. Only atoms the narrator sends through ``channel`` are
+    compared, as in ``compress``: atoms of its ``unsent_relations`` are skipped.
     Accuracy is matched/(matched+mismatched); a fully undetermined
     comparison counts as accurate (no evidence of error), so accuracy
     defaults to 1 when nothing is decided.
     """
-    table = dict(correspondence) if correspondence else {}
+    table = channel.rename_map()
     unsent = unsent_relations(table)
     reader_universe = reader.fabula.universe
     (true, false), mask = reader.cube, narrator_world.mask
@@ -269,7 +264,7 @@ def accuracy_report(
     for i, atom in enumerate(narrator_world.universe.atoms):
         if atom.relation in unsent:
             continue
-        # the reader's index of the atom the correspondence maps it to
+        # the reader's index of the atom the channel renames it to
         j = reader_universe.atom_index(Atom(table.get(atom.relation, atom.relation), atom.args))
         agree, disagree = (true, false) if mask >> i & 1 else (false, true)
         if agree >> j & 1:

@@ -45,12 +45,14 @@ class InconsistentFabulaError(StoryworldsError):
 
 
 class ParseError(StoryworldsError):
-    """Syntax or naming error in a story file, with source position."""
+    """Syntax or naming error with its position: a line and column of a story
+    file, or a column of the text named ``source`` (a flag or config key)."""
 
-    def __init__(self, message: str, line: int = 0, column: int = 0):
+    def __init__(self, message: str, line: int = 0, column: int = 0, source: str | None = None):
         self.line = line
         self.column = column
-        super().__init__(f"{line}:{column}: {message}" if line else message)
+        where = f"{source}, column {column}: " if source else f"{line}:{column}: " if line else ""
+        super().__init__(where + message)
 
 
 class InconsistentStepError(StoryworldsError):

@@ -26,7 +26,6 @@ from .conveyance import (
     parse_channel_spec,
     reconstruct,
     transmit,
-    unsent_relations,
 )
 from .errors import MetricError
 from .filters import extend_to_ultrafilter, ultraproduct
@@ -40,7 +39,7 @@ from .metrics import (
     sample_coherence,
     transitional_coherence,
 )
-from .story import Timeline, formula_to_str, parse_formula, parse_story
+from .story import Timeline, formula_to_str, parse_formula, parse_formula_list, parse_story
 from .worlds import sample_worlds
 
 # Unused here, but the benchmark's tracing hooks (bench/spans.py HOOKS) look
@@ -163,6 +162,14 @@ def rational(fr: Fraction) -> dict[str, Any]:
     return {"num": fr.numerator, "den": fr.denominator, "value": float(fr)}
 
 
+def read_story(path: str) -> str:
+    """A story file's text; a file that is not UTF-8 is a ValueError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValueError(f"story file {path}: {e}") from None
+
+
 def resolve_truth_world(spec: str, timeline: Timeline) -> World:
     """Pick the designated ground-truth world.
 
@@ -175,34 +182,22 @@ def resolve_truth_world(spec: str, timeline: Timeline) -> World:
     if spec.strip() == "first-canonical":
         col = timeline.steps[-1].column
         return World(universe, (col & -col).bit_length() - 1)
-    assignment: dict[int, bool] = {}
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        f = parse_formula(part, universe)
-        if isinstance(f, Not) and isinstance(f.operand, Atom):
-            atom, value = f.operand, False
-        elif isinstance(f, Atom):
-            atom, value = f, True
-        else:
-            raise ValueError(f"truth spec entry '{part}' is not a ground literal")
-        idx = universe.atom_index(atom)
-        if assignment.get(idx, value) != value:
+    masks = [0, 0]  # the atoms listed false, and those listed true
+    for f in parse_formula_list(spec, universe, "truth"):
+        atom = f.operand if isinstance(f, Not) else f
+        if not isinstance(atom, Atom):
+            raise ValueError(f"truth spec entry '{formula_to_str(f)}' is not a ground literal")
+        masks[f is atom] |= 1 << universe.atom_index(atom)
+        if masks[0] & masks[1]:
             raise ValueError(f"truth spec contradicts itself on {formula_to_str(atom)}")
-        assignment[idx] = value
-    mask = 0
-    for idx, value in assignment.items():
-        if value:
-            mask |= 1 << idx
-    return World(universe, mask)
+    return World(universe, masks[1])
 
 
 def _config_questions(
     specs: Sequence[Mapping[str, Any]], universe: Universe
 ) -> tuple[Question, ...]:
     out = []
-    for spec in specs:
+    for i, spec in enumerate(specs):
         if "if" not in spec or "then" not in spec:
             raise ValueError("each question needs 'if' and 'then' formulas")
         answers = spec.get("answers")
@@ -211,13 +206,14 @@ def _config_questions(
             if kinds != [bool, bool]:
                 raise ValueError("a question's 'answers' must be two booleans")
             answers = tuple(answers)
-        out.append(
-            Question(
-                parse_formula(str(spec["if"]), universe),
-                parse_formula(str(spec["then"]), universe),
-                answers,
-            )
-        )
+        sides = []
+        for side in ("if", "then"):
+            key, text = f"questions[{i}].{side}", spec[side]
+            if not isinstance(text, str):
+                kind = type(text).__name__
+                raise ValueError(f"config key '{key}': expected a string, not {kind}")
+            sides.append(parse_formula(text, universe, source=key))
+        out.append(Question(*sides, answers))
     return tuple(out)
 
 
@@ -229,7 +225,7 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
     absent channel targets) are report fields, not failures.
     """
     if story_text is None:
-        story_text = Path(config.story).read_text(encoding="utf-8")
+        story_text = read_story(config.story)
     timeline = parse_story(story_text, bound=config.bound)
     universe = timeline.universe
     channel = parse_channel_spec(config.channel, universe)
@@ -266,13 +262,8 @@ def run_analysis(config: RunConfig, story_text: str | None = None) -> dict[str, 
             }
         )
 
-    # The narrator sends every atom but those of rename targets that are not
-    # also sources, which would collide with their renamed sources on the wire.
-    correspondence = channel.rename_map() or None
-    unsent = unsent_relations(correspondence)
-    narrator_vocab = (lambda a: a.relation not in unsent) if unsent else None
-    reader_rt = reconstruct(transmit(compress(truth, narrator_vocab), channel, warnings))
-    conv = accuracy_report(truth, reader_rt, correspondence)
+    reader_rt = reconstruct(transmit(compress(truth, channel), channel, warnings))
+    conv = accuracy_report(truth, reader_rt, channel)
 
     etc_rows = []
     for k in kernels.kernels:

@@ -116,12 +116,15 @@ class _FormulaParser:
     recomputed, from a ``finditer`` of the same pattern, only for an error.
     """
 
-    def __init__(self, text: str, universe: Universe, line: int, col_offset: int):
+    def __init__(
+        self, text: str, universe: Universe, line: int, col_offset: int, source: str | None
+    ):
         self.text = text.split("#", 1)[0]
         self.tokens = _TOKEN_RE.findall(self.text)
         self.universe = universe
         self.line = line
         self.col_offset = col_offset
+        self.source = source
         self.i = 0
         self.depth = 0
 
@@ -130,7 +133,7 @@ class _FormulaParser:
         just past its end when ``after``."""
         m = list(_TOKEN_RE.finditer(self.text))[self.i if i is None else i]
         at = m.end(1) if after else m.start(1)
-        raise ParseError(message, self.line, self.col_offset + at + 1)
+        raise ParseError(message, self.line, self.col_offset + at + 1, self.source)
 
     def expect(self, token: str) -> None:
         if self.tokens[self.i] != token:
@@ -209,10 +212,26 @@ class _FormulaParser:
 
 
 def parse_formula(
-    text: str, universe: Universe, line: int = 1, col_offset: int = 0
+    text: str, universe: Universe, line: int = 1, col_offset: int = 0, source: str | None = None
 ) -> Formula:
-    """Parse one formula; atoms are validated against ``universe``."""
-    return _FormulaParser(text, universe, line, col_offset).parse()
+    """Parse one formula; atoms are validated against ``universe``. A
+    ParseError gives ``line`` and the column, or, when ``source`` names the
+    text (a flag or config key), that name and the column."""
+    return _FormulaParser(text, universe, line, col_offset, source).parse()
+
+
+def parse_formula_list(
+    text: str, universe: Universe, source: str, offset: int = 0
+) -> Iterator[Formula]:
+    """Parse the ``;``-separated formulas of ``text`` in order, each stripped,
+    skipping empty ones. ``text`` starts at column ``offset + 1`` of the text
+    named ``source``; a ParseError names ``source`` and its column there."""
+    for entry in text.split(";"):
+        body = entry.strip()
+        if body:
+            lead = len(entry) - len(entry.lstrip())
+            yield parse_formula(body, universe, col_offset=offset + lead, source=source)
+        offset += len(entry) + 1
 
 
 class Fabula:
@@ -370,10 +389,22 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        stripped = line.strip()
+        stripped = line.lstrip()
         if not stripped:
             continue
-        at = len(line) - len(line.lstrip()) + 1
+        at = len(line) - len(stripped) + 1
+
+        # assertions first: most lines are, and no other line starts with + or -
+        if stripped[0] in "+-":
+            if not blocks:
+                raise ParseError("assertion outside any t= block", line_no, at)
+            body = stripped[1:]
+            # each distinct assertion text is parsed once
+            f = parsed.get(body)
+            if f is None:
+                f = parsed[body] = parse_formula(body, universe, line_no, at)
+            blocks[-1][1][stripped[0]].add(f)
+            continue
 
         keyword = stripped.partition(" ")[0]
         if keyword in _DECLARATION_RES:
@@ -405,17 +436,6 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
             if k != len(blocks):
                 raise ParseError(f"expected block t={len(blocks)}, got t={k}", line_no, at)
             blocks.append((line_no, {"+": set(), "-": set()}))
-            continue
-
-        if stripped[0] in "+-":
-            if not blocks:
-                raise ParseError("assertion outside any t= block", line_no, at)
-            body = stripped[1:]
-            # each distinct assertion text is parsed once
-            f = parsed.get(body)
-            if f is None:
-                f = parsed[body] = parse_formula(body, universe, line_no, at)
-            blocks[-1][1][stripped[0]].add(f)
             continue
 
         raise ParseError(f"unrecognized line: '{stripped}'", line_no, at)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
+import re
 from importlib import resources
 
 import jsonschema
@@ -10,6 +12,7 @@ import pytest
 from storyworlds import cli, logic
 from storyworlds.cli import main
 from storyworlds.conveyance import evolve, parse_channel_spec
+from storyworlds.errors import ParseError
 from storyworlds.logic import Universe
 from storyworlds.report import (
     CSV_COLUMNS,
@@ -18,7 +21,7 @@ from storyworlds.report import (
     read_config_file,
     run_analysis,
 )
-from storyworlds.story import formula_to_str
+from storyworlds.story import formula_to_str, parse_formula
 
 from helpers import chain_story
 
@@ -331,6 +334,88 @@ class TestRunConfig:
         text = cards_story_path.read_text()
         report = run_analysis(RunConfig(story="inline.story"), story_text=text)
         assert report["universe"]["atom_count"] == 8
+
+    def test_run_analysis_names_a_non_utf8_story(self, tmp_path):
+        p = tmp_path / "latin1.story"
+        p.write_bytes(b"sort s: caf\xe9\n")
+        with pytest.raises(ValueError, match=f"^story file {re.escape(str(p))}: "):
+            run_analysis(RunConfig(story=str(p)))
+
+
+#: Literals over cards.story's universe, no two on one atom.
+FLAG_LITERALS = ("wears(jay,blue)", "!wears(jay,red)", "plays(ali,jay)", "!plays(jay,ali)", "wears(ali,red)")
+
+
+class TestFlagTextPositions:
+    """A parse error in a ``--truth`` or ``--channel`` list, or in a config
+    question, names the flag or question and the column in its text."""
+
+    @pytest.mark.parametrize(
+        "flag, text, expected",
+        [
+            ("--truth", "wears(jay,blue); wears(ali,", "truth, column 28: expected a name"),
+            ("--channel", "drop(wears(jay,blue); wears(ali,)", "channel, column 33: expected a name"),
+        ],
+    )
+    def test_documented_examples(self, cards_story_path, capsys, flag, text, expected):
+        assert main(["analyze", str(cards_story_path), flag, text]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "question, expected",
+        [
+            ({"if": "true", "then": "wears(ali,"}, "questions[0].then, column 11: expected a name"),
+            ({"if": None, "then": "true"}, "config key 'questions[0].if': expected a string, not NoneType"),
+            ({"if": "true", "then": 3}, "config key 'questions[0].then': expected a string, not int"),
+        ],
+        ids=repr,
+    )
+    def test_config_questions(self, cards_story_path, tmp_path, capsys, question, expected):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"questions": [question]}))
+        assert main(["analyze", str(cards_story_path), "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_column_is_the_entrys_own_plus_its_offset(
+        self, cards_story_path, cards_universe, tmp_path, capsys, seed
+    ):
+        rng = random.Random(seed)
+        where = ("truth", "drop", "corrupt", "question")[seed % 4]
+        pad = lambda: " " * rng.randint(0, 3)
+        entries = [pad() + lit + pad() for lit in rng.sample(FLAG_LITERALS, rng.randint(1, 4))]
+        bad = rng.choice((0, len(entries) // 2, len(entries) - 1))  # first, middle or last
+        # a proper prefix of a literal's text is never a formula
+        body = entries[bad].strip()
+        broken = body[: rng.randint(1, len(body) - 1)]
+        lead = pad()
+        entries[bad] = lead + broken + pad()
+        argv = ["analyze", str(cards_story_path)]
+        if where == "question":
+            side = rng.choice(("if", "then"))
+            questions = [{"if": "true", "then": "true", side: e} for e in entries]
+            cfg = tmp_path / "run.json"
+            cfg.write_text(json.dumps({"questions": questions}))
+            argv += ["--config", str(cfg)]
+            # the question's text is parsed as it stands
+            source, alone, offset = f"questions[{bad}].{side}", entries[bad], 0
+        else:
+            offset = sum(len(e) + 1 for e in entries[:bad]) + len(lead)
+            text = ";".join(entries)
+            if where == "truth":
+                argv += ["--truth", text]
+                source = "truth"
+            else:
+                head = pad() + where + "("
+                argv += ["--channel", head + text + ")" + pad()]
+                source, offset = "channel", offset + len(head)
+            alone = broken
+        with pytest.raises(ParseError) as exc:
+            parse_formula(alone, cards_universe)
+        message = str(exc.value).split(": ", 1)[1]
+        assert main(argv) == 1
+        column = exc.value.column + offset
+        assert capsys.readouterr().err == f"error: {source}, column {column}: {message}\n"
 
 
 DEEP_HEADER = "sort s: a\nrel g(s)\nrel h(s)\n\nt=0:\n+ "
