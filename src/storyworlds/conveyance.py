@@ -3,10 +3,11 @@
 The pipeline mirrors how a story travels: the narrator compresses a complete
 world into a fabula of literals, the fabula crosses a (possibly lossy or
 corrupting) channel, and the reader reconstructs the set of worlds consistent
-with what arrived. The accuracy report compares the reader's decided beliefs
-with the narrator's world, atom by atom, over the atoms the narrator sent
-(a rename target that is not also a source is never sent), each a bit test
-of the world's mask against the reader's cube of two atom masks: agreement
+with what arrived. A reader holds its decided beliefs only as the
+``plausible_facts`` cube of its world set, two atom masks. The accuracy
+report compares them with the narrator's world, atom by atom, over the atoms
+the narrator sent (a rename target that is not also a source is never sent),
+each a bit test of the world's mask against the reader's cube: agreement
 on a decided atom is a match, disagreement a mismatch, silence undetermined.
 The conveyance commutes (the mediated path agrees with direct transfer)
 exactly when nothing is mismatched; undetermined atoms measure lossiness,
@@ -18,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import ChannelError, InconsistentFabulaError, InconsistentStepError
-from .filters import WeakFilter, cube_literals, plausible_facts
+from .filters import WeakFilter, plausible_facts
 from .logic import Atom, Formula, Universe, World, map_atoms, negate
 from .story import (
     Fabula,
@@ -76,10 +77,6 @@ class Channel:
     @classmethod
     def corrupt(cls, formulas: Iterable[Formula]) -> "Channel":
         return cls(ChannelKind.CORRUPT, formulas=frozenset(formulas))
-
-    @classmethod
-    def renaming(cls, mapping: Mapping[str, str]) -> "Channel":
-        return cls(ChannelKind.RENAME, rename=tuple(mapping.items()))
 
     def rename_map(self) -> dict[str, str]:
         return dict(self.rename)
@@ -141,21 +138,21 @@ def _check_rename(old: str, new: str, universe: Universe) -> None:
         )
 
 
-def unsent_relations(correspondence: Mapping[str, str] | None) -> frozenset[str]:
-    """The rename targets that are not also rename sources.
+def unsent_relations(channel: Channel) -> frozenset[str]:
+    """The channel's rename targets that are not also rename sources.
 
     The narrator does not send atoms of these relations: on the wire they
     would share a name with the renamed source atoms. A target that is also
     a source, as in a swap or a self-rename, is sent under its own new name.
     """
-    table = correspondence or {}
+    table = channel.rename_map()
     return frozenset(table.values()) - frozenset(table)
 
 
 def compress(world: World, channel: Channel = Channel()) -> Fabula:
     """Compress a complete world into the fabula of ground literals the
     narrator sends through ``channel``: all but those of its ``unsent_relations``."""
-    u, unsent = world.universe, unsent_relations(channel.rename_map())
+    u, unsent = world.universe, unsent_relations(channel)
     return Fabula(u, [l for a, l in zip(u.atoms, world.literals()) if a.relation not in unsent])
 
 
@@ -210,11 +207,6 @@ class ReaderState:
     cube: tuple[int, int]
 
     @property
-    def beliefs(self) -> frozenset:
-        """The decided ground literals, listed from the cube."""
-        return cube_literals(self.worlds.universe, self.cube)
-
-    @property
     def filter(self) -> WeakFilter:
         """The default plausibility filter: the principal family generated by
         the full world set, so exactly the facts decided by all worlds are
@@ -255,8 +247,7 @@ def accuracy_report(
     comparison counts as accurate (no evidence of error), so accuracy
     defaults to 1 when nothing is decided.
     """
-    table = channel.rename_map()
-    unsent = unsent_relations(table)
+    table, unsent = channel.rename_map(), unsent_relations(channel)
     reader_universe = reader.fabula.universe
     (true, false), mask = reader.cube, narrator_world.mask
     matched = mismatched = undetermined = 0

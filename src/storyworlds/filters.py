@@ -10,12 +10,12 @@ closed under intersection.
 
 Plausibility extraction and the reconciliation vote (ultraproduct) live here
 as well. Plausible facts are a cube of two atom masks (the set's backbone),
-folded from a universe-space column one atom per halving; every belief
-consumer reads the masks. The vote makes a ground atom true exactly when
-the set of base worlds satisfying it belongs to the ultrafilter. Extending a
-principal filter whose generator holds world 0, and voting over a principal
-ultrafilter, take closed forms; every other input goes through the subset
-scan and the vote.
+folded from a universe-space column one atom per halving; beliefs exist only
+as that cube, and every belief consumer reads the masks. The vote makes a
+ground atom true exactly when the set of base worlds satisfying it belongs
+to the ultrafilter. Extending a principal filter whose generator holds world
+0, and voting over a principal ultrafilter, take closed forms; every other
+input goes through the subset scan and the vote.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from enum import Enum
 from typing import Iterable, Iterator
 
 from .errors import EmptyWorldSetError, FilterError
-from .logic import Formula, Universe, World, truth_column
+from .logic import Formula, World, truth_column
 from .worlds import WorldSet
 
 #: Largest base size for which member families are materialized extensionally.
@@ -217,7 +217,7 @@ def plausibility_status(f: WeakFilter, p: Formula) -> PlausibilityStatus:
 def plausible_facts(worlds: WorldSet) -> tuple[int, int]:
     """The decided part of the shared theory as a cube ``(true_mask,
     false_mask)``: bit ``i`` is set when atom ``i`` holds in every world of
-    ``worlds``, or in none. ``cube_literals`` lists it as ground literals."""
+    ``worlds``, or in none."""
     if len(worlds) == 0:
         raise EmptyWorldSetError("plausible facts over an empty world set")
     u, col, table = worlds.universe, worlds.own_column, worlds.table
@@ -243,13 +243,6 @@ def plausible_facts(worlds: WorldSet) -> tuple[int, int]:
         elif not hits:
             false |= 1 << i
     return true, false
-
-
-def cube_literals(universe: Universe, cube: tuple[int, int]) -> frozenset:
-    """The ground literals a ``plausible_facts`` cube decides."""
-    true, false = cube
-    atoms = [a for i, a in enumerate(universe.atoms) if true >> i & 1]
-    return frozenset(atoms + [f for i, f in enumerate(universe.negations) if false >> i & 1])
 
 
 def extend_to_ultrafilter(f: WeakFilter) -> WeakUltrafilter:

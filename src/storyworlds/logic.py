@@ -3,10 +3,10 @@
 A universe declares constant sorts and relation signatures; grounding every
 relation over its argument sorts yields a finite, canonically ordered list of
 atoms. A world is a total truth assignment over those atoms, packed into an
-integer bitmask (bit ``i`` holds the truth of atom ``i``). Consistency and
-entailment are decided by exhaustive enumeration, vectorised as bitwise
-operations on truth columns: a formula's column is an integer whose bit ``m``
-is the formula's value under assignment mask ``m``. A formula's column is
+integer bitmask (bit ``i`` holds the truth of atom ``i``). Consistency is
+decided by exhaustive enumeration, vectorised as bitwise operations on truth
+columns: a formula's column is an integer whose bit ``m`` is the formula's
+value under assignment mask ``m``. A formula's column is
 unmasked (negation is ``~``, so it may be negative); a set of assignments,
 such as ``models_column`` returns, is always a non-negative column below
 ``2**atom_count``, and intersecting with it gives the formula's truth on that
@@ -422,8 +422,3 @@ def models_column(props: Iterable[Formula], universe: Universe) -> int:
 def consistent(props: Iterable[Formula], universe: Universe) -> bool:
     """True iff at least one world satisfies every formula in ``props``."""
     return models_column(props, universe) != 0
-
-
-def entails(props: Iterable[Formula], q: Formula, universe: Universe) -> bool:
-    """True iff every world satisfying ``props`` also satisfies ``q``."""
-    return models_column(props, universe) & ~truth_column(q, universe) == 0

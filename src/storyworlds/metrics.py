@@ -36,15 +36,7 @@ from typing import Callable, Iterable, Sequence
 from .conveyance import ReaderState
 from .errors import EmptyWorldSetError, MetricError
 from .filters import plausible_facts
-from .logic import (
-    Formula,
-    Implies,
-    Universe,
-    World,
-    evaluate,
-    truth_column,
-)
-from .story import formula_to_str
+from .logic import Formula, Universe, World, evaluate, truth_column
 from .worlds import WorldSet
 
 #: The most questions a derived question set holds.
@@ -83,10 +75,6 @@ class Question:
     consequent: Formula
     answers: tuple[bool, bool] | None = None
 
-    def materialize(self) -> Formula:
-        """The question as the implication formula A -> B."""
-        return Implies(self.antecedent, self.consequent)
-
     def resolve_answers(self, truth: World | None = None) -> tuple[bool, bool]:
         if self.answers is not None:
             return self.answers
@@ -95,9 +83,6 @@ class Question:
                 "question has no recorded answers and no ground-truth world was given"
             )
         return (evaluate(truth, self.antecedent), evaluate(truth, self.consequent))
-
-    def __str__(self) -> str:
-        return f"{formula_to_str(self.antecedent)} -> {formula_to_str(self.consequent)}"
 
 
 def relevance(q: Question, prior: WorldSet, truth: World | None = None) -> float:

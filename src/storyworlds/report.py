@@ -95,7 +95,7 @@ def read_config_file(path: str | Path) -> dict[str, Any]:
     """Read a JSON config file: one object with the same keys as the flags."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except ValueError as e:  # bad JSON, bad UTF-8 or an integer past int()'s digit limit
         raise ValueError(f"config file {path}: {e}") from None
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")

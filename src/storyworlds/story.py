@@ -268,9 +268,6 @@ class Fabula:
     def __len__(self) -> int:
         return len(self.propositions)
 
-    def __contains__(self, f: Formula) -> bool:
-        return f in self.propositions
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Fabula)
@@ -362,7 +359,9 @@ _DECLARATION_RES = {
     "sort": re.compile(rf"sort\s+({NAME_RE.pattern})\s*:\s*(.*)$"),
     "rel": re.compile(rf"rel\s+({NAME_RE.pattern})\s*\(\s*([^)]*)\s*\)\s*$"),
 }
-_BLOCK_RE = re.compile(r"t\s*=\s*(\d+)\s*:\s*$")
+# the label's digits less leading zeros, compared as text: int() refuses
+# more than 4300 digits
+_BLOCK_RE = re.compile(r"t\s*=\s*0*([0-9]+)\s*:\s*$")
 
 
 def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
@@ -432,9 +431,8 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
                 atom_count = sum(math.prod(len(sorts[s]) for s in a) for a in relations.values())
                 check_atom_count(atom_count, bound)
                 universe = Universe(sorts, relations.items(), bound)
-            k = int(m.group(1))
-            if k != len(blocks):
-                raise ParseError(f"expected block t={len(blocks)}, got t={k}", line_no, at)
+            if m.group(1) != str(len(blocks)):
+                raise ParseError(f"expected block t={len(blocks)}, got t={m.group(1)}", line_no, at)
             blocks.append((line_no, {"+": set(), "-": set()}))
             continue
 

@@ -10,6 +10,7 @@ where the library walks a token list.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from storyworlds import metrics
@@ -27,7 +28,7 @@ from storyworlds.logic import (
     World,
     evaluate,
 )
-from storyworlds.metrics import Question, SatelliteLink, binary_entropy
+from storyworlds.metrics import Question, SatelliteLink
 from storyworlds.story import MAX_FORMULA_DEPTH, formula_to_str
 
 
@@ -57,6 +58,16 @@ def listing_oracle(column: int) -> list[int]:
     return [m for m in range(column.bit_length()) if column >> m & 1]
 
 
+def entropy_oracle(p: Fraction) -> float:
+    """Binary entropy of ``p`` in bits, 0 at 0 and 1: from ``math.log2`` of
+    ``p`` as a float, like ``metrics.binary_entropy``, so the values agree
+    bit for bit."""
+    if p in (0, 1):
+        return 0.0
+    pf = float(p)
+    return -(pf * math.log2(pf) + (1.0 - pf) * math.log2(1.0 - pf))
+
+
 def truth_proportion_oracle(worlds, q) -> Fraction:
     """Fraction of the worlds in which ``q`` holds, one world at a time."""
     worlds = tuple(worlds)
@@ -68,8 +79,8 @@ def coherence_oracle(questions, worlds) -> tuple[Fraction, float]:
     evaluated world by world, then the exact mean of the proportions and the
     float mean of their entropies, added left to right in question order."""
     worlds = tuple(worlds)
-    props = [truth_proportion_oracle(worlds, q.materialize()) for q in questions]
-    return sum(props, Fraction(0)) / len(props), float_mean(map(binary_entropy, props))
+    props = [truth_proportion_oracle(worlds, Implies(q.antecedent, q.consequent)) for q in questions]
+    return sum(props, Fraction(0)) / len(props), float_mean(map(entropy_oracle, props))
 
 
 def agreement_oracle(worlds, rho) -> bool:
@@ -77,11 +88,24 @@ def agreement_oracle(worlds, rho) -> bool:
     return all(evaluate(w, r) for w in worlds for r in rho)
 
 
-def plausible_facts_oracle(worlds) -> frozenset:
+def beliefs_oracle(worlds) -> frozenset:
     """The ground literals true in every world."""
     worlds = tuple(worlds)
     literals = [lit for a in worlds[0].universe.atoms for lit in (a, Not(a))]
     return frozenset(lit for lit in literals if all(evaluate(w, lit) for w in worlds))
+
+
+def plausible_facts_oracle(worlds) -> tuple[int, int]:
+    """The cube ``(true_mask, false_mask)`` of the atoms every world decides
+    alike: bit ``i`` of the first when atom ``i`` holds in every world, of
+    the second when it holds in none."""
+    worlds = tuple(worlds)
+    true = false = 0
+    for i, a in enumerate(worlds[0].universe.atoms):
+        values = {evaluate(w, a) for w in worlds}
+        true |= (values == {True}) << i
+        false |= (values == {False}) << i
+    return true, false
 
 
 def atom_hits_oracle(worlds, universe: Universe) -> tuple[int, ...]:
@@ -106,14 +130,14 @@ def relevance_oracle(q, worlds, truth=None):
     if not sub:
         return None
     p_a = truth_proportion_oracle(worlds, ind_a)
-    return binary_entropy(p_a) - binary_entropy(truth_proportion_oracle(sub, ind_b))
+    return entropy_oracle(p_a) - entropy_oracle(truth_proportion_oracle(sub, ind_b))
 
 
 def kernel_beliefs_oracle(states, k) -> tuple[frozenset, frozenset]:
     """The literals every world at step k-1 decides, and those every world
     at step k decides but not every world at k-1, from listed worlds."""
-    before = plausible_facts_oracle(tuple(states[k - 1].worlds))
-    return before, plausible_facts_oracle(tuple(states[k].worlds)) - before
+    before = beliefs_oracle(tuple(states[k - 1].worlds))
+    return before, beliefs_oracle(tuple(states[k].worlds)) - before
 
 
 def kernel_grid_oracle(states, k) -> list:

@@ -257,7 +257,9 @@ class TestAnalyze:
         assert list(tmp_path.iterdir()) == [cfg]
 
     @pytest.mark.parametrize(
-        "content", [b'{"seed": 1, }', b'{"story": "caf\xe9"}'], ids=["json", "utf-8"]
+        "content",
+        [b'{"seed": 1, }', b'{"story": "caf\xe9"}', b'{"seed": ' + b"9" * 5000 + b"}"],
+        ids=["json", "utf-8", "int-digits"],
     )
     def test_undecodable_config_file_names_the_file(
         self, cards_story_path, tmp_path, capsys, content

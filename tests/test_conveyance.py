@@ -46,10 +46,10 @@ class TestCompress:
         # a rename target that is not also a source is not sent
         u = Universe({"s": ("a", "b")}, [("p", ("s",)), ("q", ("s",))])
         w = World(u, 0b0110)
-        fab = compress(w, Channel.renaming({"p": "q"}))
+        fab = compress(w, Channel("rename", rename=[("p", "q")]))
         assert fab.propositions == {l for l, a in zip(w.literals(), u.atoms) if a.relation == "p"}
         assert len(fab) == 2
-        assert compress(w, Channel.renaming({"p": "q", "q": "p"})) == compress(w)
+        assert compress(w, Channel("rename", rename=[("p", "q"), ("q", "p")])) == compress(w)
 
 
 class TestTransmit:
@@ -84,7 +84,7 @@ class TestTransmit:
 
     def test_unchanging_channel_returns_the_fabula_itself(self, cards_universe, fabula_f1):
         assert transmit(fabula_f1, Channel.identity()) is fabula_f1
-        assert transmit(fabula_f1, Channel.renaming({"wears": "wears"})) is fabula_f1
+        assert transmit(fabula_f1, Channel("rename", rename=[("wears", "wears")])) is fabula_f1
         ghost = cards_universe.atom("wears", "ali", "red")
         for channel in (Channel.drop({ghost}), Channel.corrupt({ghost})):
             warnings: list[str] = []
@@ -106,7 +106,7 @@ class TestTransmit:
             [("heard", ("s",)), ("said", ("s",))],
         )
         fab = Fabula(u, [u.atom("said", "a")])
-        out = transmit(fab, Channel.renaming({"said": "heard"}))
+        out = transmit(fab, Channel("rename", rename=[("said", "heard")]))
         assert set(out) == {u.atom("heard", "a")}
 
     def test_rename_to_undeclared_relation_fails(self, cards_universe, fabula_f1):
@@ -150,19 +150,18 @@ class TestReconstruct:
     def test_fixture_fabula(self, cards_universe, fabula_f1):
         state = reconstruct(fabula_f1)
         assert len(state.worlds) == 64
-        assert state.beliefs == {
-            cards_universe.atom("wears", "jay", "blue"),
-            cards_universe.atom("plays", "ali", "jay"),
-        }
+        u = cards_universe
+        asserted = [u.atom("wears", "jay", "blue"), u.atom("plays", "ali", "jay")]
+        assert state.cube == (sum(1 << u.atom_index(a) for a in asserted), 0)
 
     def test_empty_fabula(self, cards_universe):
         state = reconstruct(Fabula(cards_universe))
-        assert len(state.worlds) == 256 and state.beliefs == frozenset()
+        assert len(state.worlds) == 256 and state.cube == (0, 0)
 
     def test_fully_specified_fabula(self, cards_universe):
         w = World(cards_universe, 0b11001010)
         state = reconstruct(compress(w))
-        assert len(state.worlds) == 1 and len(state.beliefs) == 8
+        assert len(state.worlds) == 1 and state.cube == (w.mask, 255 ^ w.mask)
 
 
 class TestAccuracyReport:
@@ -202,7 +201,7 @@ class TestAccuracyReport:
         w = World(cards_universe, 0)
         state = reconstruct(Fabula(cards_universe))
         with pytest.raises(UnknownAtomError):
-            accuracy_report(w, state, Channel.renaming({"wears": "dons"}))
+            accuracy_report(w, state, Channel("rename", rename=[("wears", "dons")]))
 
     def test_roundtrip_on_random_worlds(self):
         rng = random.Random(4242)
@@ -231,7 +230,7 @@ def two_relation_worlds(draw):
 def convey_renamed(w, mapping):
     """The narrator's side of ``report.run_analysis``: compress ``w`` to the
     atoms it sends through the rename channel, send, reconstruct, and score."""
-    channel = Channel.renaming(mapping)
+    channel = Channel("rename", rename=mapping.items())
     return accuracy_report(w, reconstruct(transmit(compress(w, channel), channel)), channel)
 
 
@@ -240,11 +239,14 @@ class TestLosslessRenames:
     that is not also a source is never sent, so it is never compared."""
 
     def test_unsent_relations(self):
-        assert unsent_relations(None) == frozenset()
-        assert unsent_relations({"x": "y"}) == {"y"}
-        assert unsent_relations({"x": "y", "y": "x"}) == frozenset()
-        assert unsent_relations({"x": "x"}) == frozenset()
-        assert unsent_relations({"x": "y", "y": "z"}) == {"z"}
+        def unsent(*pairs):
+            return unsent_relations(Channel("rename", rename=pairs))
+
+        assert unsent_relations(Channel()) == frozenset()
+        assert unsent(("x", "y")) == {"y"}
+        assert unsent(("x", "y"), ("y", "x")) == frozenset()
+        assert unsent(("x", "x")) == frozenset()
+        assert unsent(("x", "y"), ("y", "z")) == {"z"}
 
     def test_one_way_rename_through_the_channel_alone(self):
         # p(a) true and q(a) false: sending q(a) beside the renamed p(a)
@@ -403,7 +405,7 @@ class TestEvolveShortcut:
         for state, ref in zip(states, reference):
             assert state.fabula.propositions == ref.fabula.propositions
             assert state.worlds.column == ref.worlds.column
-            assert state.beliefs == ref.beliefs
+            assert state.cube == ref.cube
         shared = [s.fabula is f for s, f in zip(states, timeline.steps)]
         cut = len(shared) if first_changed is None else first_changed
         assert shared == [t < cut for t in range(len(shared))]

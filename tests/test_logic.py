@@ -18,7 +18,6 @@ from storyworlds.logic import (
     World,
     check_bound,
     consistent,
-    entails,
     evaluate,
     map_atoms,
     truth_column,
@@ -174,36 +173,6 @@ class TestConsistent:
         assert consistent([], chain_universe(10, bound=10))
 
 
-class TestEntails:
-    def test_modus_ponens(self, cards_universe):
-        a = cards_universe.atom("wears", "jay", "blue")
-        b = cards_universe.atom("plays", "ali", "jay")
-        assert entails([a, Implies(a, b)], b, cards_universe)
-
-    def test_fixture_does_not_entail_unasserted_atom(self, cards_universe, fabula_f1):
-        assert not entails(
-            fabula_f1.propositions,
-            cards_universe.atom("wears", "ali", "blue"),
-            cards_universe,
-        )
-
-    def test_tautology_always_entailed(self, cards_universe):
-        p = cards_universe.atom("plays", "jay", "jay")
-        q = cards_universe.atom("wears", "ali", "red")
-        assert entails([q], Or((p, Not(p))), cards_universe)
-        assert entails([], Or((p, Not(p))), cards_universe)
-
-    def test_entailment_matches_inconsistency_of_negation(self):
-        rng = random.Random(23)
-        for _ in range(60):
-            u = random_universe(rng, 8)
-            props = [random_formula(rng, u, 2) for _ in range(rng.randrange(0, 3))]
-            q = random_formula(rng, u, 2)
-            assert entails(props, q, u) == (
-                not consistent(list(props) + [Not(q)], u)
-            )
-
-
 class TestAtomCeiling:
     def test_ceiling_holds_whatever_the_bound(self, monkeypatch):
         def never(*_):
@@ -218,7 +187,6 @@ class TestAtomCeiling:
         assert "ceiling" in str(exc.value)
         for refused in (
             lambda: consistent([], u),
-            lambda: entails([], u.atoms[0], u),
             lambda: Fabula(u, [u.atoms[0]]),
             lambda: enumerate_models([], u),
         ):

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from storyworlds import metrics
 from storyworlds.conveyance import Channel, evolve
 from storyworlds.errors import EmptyWorldSetError, MetricError
-from storyworlds.filters import cube_literals
 from storyworlds.logic import (
     FALSE,
     TRUE,
@@ -23,7 +22,6 @@ from storyworlds.logic import (
     Universe,
     World,
     consistent,
-    negate,
 )
 from storyworlds.metrics import (
     Question,
@@ -245,7 +243,8 @@ class TestLiteralCodes:
         cube = (true, rng.randrange(1 << u.atom_count) & ~true)
         state = SimpleNamespace(cube=cube, worlds=SimpleNamespace(universe=u))
         decoded = [literals[j] for j in metrics._codes(metrics._literal_mask(state))]
-        assert decoded == sorted(cube_literals(u, cube), key=formula_to_str)
+        held = [lit for i, lit in enumerate(World(u, true).literals()) if (true | cube[1]) >> i & 1]
+        assert decoded == sorted(held, key=formula_to_str)
 
     def test_prefix_names(self):
         u = Universe({"s": ("a_", "a", "aB", "A")}, [("p_", ("s",)), ("p", ("s", "s"))])
@@ -471,13 +470,19 @@ def state_series(draw):
     return evolve(Timeline(u, tuple(steps)), Channel.identity())
 
 
+def _grid_size(states, k) -> tuple[int, int]:
+    """Kernel ``k``'s grid rows and columns: the literal beliefs at k-1, and
+    those at k that k-1 does not hold."""
+    before, after = (metrics._literal_mask(s) for s in states[k - 1 : k + 1])
+    return before.bit_count(), (after & ~before).bit_count()
+
+
 def _grid_caps(states, report) -> set[int]:
     """Question caps of 0 and 1, one cutting each kernel's grid in the middle
     of its second row, and one above each grid."""
     caps = {0, 1}
     for k in report.kernels:
-        rows = len(states[k - 1].beliefs)
-        width = len(states[k].beliefs - states[k - 1].beliefs)
+        rows, width = _grid_size(states, k)
         if rows >= 2 and width >= 2:
             caps.add(width + 1)
         caps.add(rows * width + 3)
@@ -513,8 +518,7 @@ class TestSatellitesAgainstOracle:
         report = detect_kernels(states)
         assert report.kernels == (6, 12)
         # kernel 6 poses a 12 x 6 grid: a cap of 64 cuts its eleventh row
-        assert len(states[5].beliefs) == 12
-        assert len(states[6].beliefs - states[5].beliefs) == 6
+        assert _grid_size(states, 6) == (12, 6)
         caps = _grid_caps(states, report) | {64}
         _check_against_oracle(states, report, caps)
         links = classify_satellites(states, report).satellites
@@ -546,6 +550,10 @@ class TestSatellitesAgainstOracle:
         states = evolve(timeline, Channel.identity())
         report = detect_kernels(states)
         expected = classify_satellites(states, report).satellites
+        u = timeline.universe
+        n = u.atom_count
+        # a literal's code: the negation of atom i is code i, atom i is n + i
+        code = {lit: j for j, lit in enumerate(u.negations + u.atoms)}
         used = exact = every_cell = 0
         for k in report.kernels:
             grid = kernel_questions(states, k)
@@ -555,8 +563,9 @@ class TestSatellitesAgainstOracle:
             for s in range(1, k):
                 if s in report.kernels:
                     continue
-                beliefs = states[s].beliefs
-                decided = {negate(lit) for lit in beliefs} | beliefs
+                true, false = states[s].cube
+                held = metrics._literal_mask(states[s])
+                decided = {lit for lit, j in code.items() if (true | false) >> j % n & 1}
                 whole_row = False
                 for a in rows:
                     open_cells = sum(
@@ -567,7 +576,7 @@ class TestSatellitesAgainstOracle:
                     # share one row of cells, scored where first needed
                     if a not in decided:
                         exact += 1 + open_cells
-                    elif a in beliefs and not whole_row:
+                    elif held >> code[a] & 1 and not whole_row:
                         exact += open_cells
                         whole_row = True
                 every_cell += len(rows) * (1 + len(columns))

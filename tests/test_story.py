@@ -205,6 +205,26 @@ class TestParseStory:
             parse_story("sort s: a\nrel p(s)\n")
         assert "empty timeline" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "label, error",
+        [
+            ("t=2:", "4:3: expected block t=0, got t=2"),
+            ("t=" + "0" * 5000 + ":", None),
+            ("t=" + "7" * 5000 + ":", "4:3: expected block t=0, got t=" + "7" * 5000),
+        ],
+        ids=["out-of-order", "zeros", "5000-digits"],
+    )
+    def test_block_labels_compare_their_digits(self, label, error):
+        # int() refuses more than 4300 digits; a label of any length is
+        # block 0 or a ParseError at its line
+        text = f"sort s: a\nrel p(s)\n\n  {label}\n+ p(a)\n"
+        if error is None:
+            assert len(parse_story(text).steps) == 1
+        else:
+            with pytest.raises(ParseError) as exc:
+                parse_story(text)
+            assert str(exc.value) == error
+
     def test_add_remove_conflict(self):
         with pytest.raises(ParseError) as exc:
             parse_story("sort s: a\nrel p(s)\n\nt=0:\n+ p(a)\n- p(a)\n")

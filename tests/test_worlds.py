@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from storyworlds import metrics
 from storyworlds.errors import EmptyWorldSetError, MetricError, UniverseMismatchError
-from storyworlds.filters import cube_literals, plausible_facts, support_mask
+from storyworlds.filters import plausible_facts, support_mask
 from storyworlds.logic import And, Not, Or, World
 from storyworlds.metrics import (
     Question,
@@ -259,7 +259,7 @@ class TestColumnAgainstOracles:
                 continue
             for q in queries:
                 assert truth_proportion(ws, q) == truth_proportion_oracle(listed, q)
-            assert cube_literals(u, plausible_facts(ws)) == plausible_facts_oracle(listed)
+            assert plausible_facts(ws) == plausible_facts_oracle(listed)
             truth = listed[-1]
             for a, b in zip(queries, queries[1:]):
                 q = Question(a, b)
@@ -386,7 +386,7 @@ class TestRankSpace:
                 assert support_mask(sample, q) == support_mask(flat, q) == expected
             assert agreement_check(sample, queries) == agreement_oracle(listed, queries)
             assert plausible_facts(sample) == plausible_facts(flat)
-            assert cube_literals(u, plausible_facts(sample)) == plausible_facts_oracle(listed)
+            assert plausible_facts(sample) == plausible_facts_oracle(listed)
             hits = atom_hits_oracle(listed, u)
             members, table = sample.own_column, sample.table
             assert tuple(
