@@ -308,7 +308,7 @@ def evolve(
             try:
                 reader_fab = apply_transition(reader_fab, TransitionEdit(additions, removals))
             except InconsistentFabulaError as e:
-                raise InconsistentStepError(t, e.conflict) from e
+                raise InconsistentStepError(t, e.conflict, e.subset) from e
             except ValueError as e:
                 raise ChannelError(f"channel output conflicts at step t={t}: {e}") from e
         states.append(reconstruct(reader_fab))

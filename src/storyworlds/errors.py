@@ -36,12 +36,13 @@ class InconsistentFabulaError(StoryworldsError):
     """A fabula (or a transition result) has no satisfying world.
 
     ``conflict`` holds a minimal inconsistent subset of the propositions,
-    found by greedy deletion.
+    found by greedy deletion, and ``subset`` the same as text.
     """
 
-    def __init__(self, conflict: tuple = (), message: str | None = None):
+    def __init__(self, conflict: tuple, subset: str):
         self.conflict = tuple(conflict)
-        super().__init__(message or "inconsistent proposition set")
+        self.subset = subset
+        super().__init__(f"inconsistent fabula; conflicting subset: {subset}")
 
 
 class ParseError(StoryworldsError):
@@ -56,13 +57,15 @@ class ParseError(StoryworldsError):
 
 
 class InconsistentStepError(StoryworldsError):
-    """A timeline step's accumulated fabula is unsatisfiable."""
+    """A timeline step's accumulated fabula is unsatisfiable; ``conflict``
+    and ``subset`` are its InconsistentFabulaError's."""
 
-    def __init__(self, step: int, conflict: tuple = (), line: int = 0):
+    def __init__(self, step: int, conflict: tuple, subset: str, line: int = 0):
         self.step = step
         self.conflict = tuple(conflict)
         self.line = line
-        super().__init__(f"step t={step} is inconsistent")
+        where = f"{line}:1: " if line else ""
+        super().__init__(f"{where}step t={step} is inconsistent; conflicting subset: {subset}")
 
 
 class FilterError(StoryworldsError):

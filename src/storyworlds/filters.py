@@ -13,15 +13,15 @@ as well. Plausible facts are a cube of two atom masks (the set's backbone),
 folded from a universe-space column one atom per halving; beliefs exist only
 as that cube, and every belief consumer reads the masks. The vote makes a
 ground atom true exactly when the set of base worlds satisfying it belongs
-to the ultrafilter. Extending a principal filter whose generator holds world
-0, and voting over a principal ultrafilter, take closed forms; every other
-input goes through the subset scan and the vote.
+to the ultrafilter. Extension is one membership rule; extending a principal
+filter whose generator holds world 0, and voting over a principal
+ultrafilter, take O(1) forms.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import EmptyWorldSetError, FilterError
 from .logic import Formula, World, truth_column
@@ -158,22 +158,13 @@ class WeakFilter:
             raise FilterError(
                 f"cannot materialize members over a base of {n} worlds"
             )
-        return frozenset(_supersets(self._generator, self.full_mask))
+        g = self._generator
+        return frozenset(x for x in range(self.full_mask + 1) if x & g == g)
 
     def __repr__(self) -> str:
         if self._generator is not None:
             return f"WeakFilter(principal {self._generator:#b} over {len(self.base)} worlds)"
         return f"WeakFilter({len(self._members)} members over {len(self.base)} worlds)"
-
-
-def _supersets(mask: int, full: int) -> Iterator[int]:
-    free = full & ~mask
-    sub = free
-    while True:
-        yield mask | sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & free
 
 
 class WeakUltrafilter(WeakFilter):
@@ -248,47 +239,23 @@ def plausible_facts(worlds: WorldSet) -> tuple[int, int]:
 def extend_to_ultrafilter(f: WeakFilter) -> WeakUltrafilter:
     """Deterministically extend a weak filter to a weak ultrafilter.
 
-    Every finite weak filter is extendable: no two undecided complementary
-    subsets can both conflict with the upward closure of the current family.
-    Undecided pairs are resolved in ascending bitmask order, preferring the
-    side whose smallest canonical world index is smaller (i.e. the side
-    containing world 0).
-
-    A principal filter whose generator holds world 0 extends, over a base of
-    any size, to the principal ultrafilter at world 0: its members all hold
-    world 0 and their complements lack it, so the preferred side of each
-    undecided pair (the one holding world 0) never conflicts, and adding its
-    supersets keeps that so. The scan ends with one side of every pair a
-    member, all holding world 0: exactly the sets that hold world 0. Other
-    principal filters may extend to non-principal families
+    A set is a member iff ``f`` holds it, or it holds world 0 and ``f`` does
+    not hold its complement. This is the extension: it decides each
+    complementary pair exactly once, because ``f`` holds no complementary
+    pair; it is upward closed, because ``f`` is (a superset of an added set
+    holds world 0, and its complement lies inside one ``f`` does not hold);
+    and it is what resolving undecided pairs in ascending bitmask order,
+    the side holding world 0 first, reaches. A principal filter whose
+    generator holds world 0 thus extends, over a base of any size, to the
+    principal ultrafilter at world 0; other principal filters may not
     (``principal(0b110)`` over three worlds gives the majority family).
     """
     if f.is_principal and f._generator & 1:
         return WeakUltrafilter(f.base, generator=1)
-    n = len(f.base)
     full = f.full_mask
-    members = set(f.member_masks())  # refuses bases beyond EXTENSIONAL_BASE_LIMIT
-    excluded = {full ^ x for x in members}
-
-    for x in range(1 << n):
-        if x in members or x in excluded:
-            continue
-        xc = full ^ x
-        preferred, other = (x, xc) if x & 1 else (xc, x)
-        if _superset_conflicts(preferred, excluded, full):
-            preferred, other = other, preferred
-            if _superset_conflicts(preferred, excluded, full):
-                raise FilterError("input family is not a weak filter")
-        for sup in _supersets(preferred, full):
-            if sup not in members:
-                members.add(sup)
-                excluded.add(full ^ sup)
-
-    return WeakUltrafilter(f.base, frozenset(members), _validated=True)
-
-
-def _superset_conflicts(mask: int, excluded: set, full: int) -> bool:
-    return any(sup in excluded for sup in _supersets(mask, full))
+    members = f.member_masks()  # refuses bases beyond EXTENSIONAL_BASE_LIMIT
+    rule = (x for x in range(full + 1) if x in members or x & 1 and full ^ x not in members)
+    return WeakUltrafilter(f.base, frozenset(rule), _validated=True)
 
 
 def ultraproduct(uf: WeakUltrafilter) -> World:

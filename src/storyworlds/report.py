@@ -95,7 +95,9 @@ def read_config_file(path: str | Path) -> dict[str, Any]:
     """Read a JSON config file: one object with the same keys as the flags."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as e:  # bad JSON, bad UTF-8 or an integer past int()'s digit limit
+    # bad JSON, bad UTF-8, an integer past int()'s digit limit, or nesting
+    # deeper than the decoder's recursion
+    except (ValueError, RecursionError) as e:
         raise ValueError(f"config file {path}: {e}") from None
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")

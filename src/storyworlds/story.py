@@ -253,11 +253,7 @@ class Fabula:
         column = models_column(props, universe)
         if not column:
             conflict = _minimal_conflict(sorted(props, key=formula_to_str), universe)
-            raise InconsistentFabulaError(
-                conflict,
-                "inconsistent fabula; conflicting subset: "
-                + ", ".join(formula_to_str(f) for f in conflict),
-            )
+            raise InconsistentFabulaError(conflict, ", ".join(map(formula_to_str, conflict)))
         self.universe = universe
         self.propositions = props
         self.column = column
@@ -451,7 +447,7 @@ def parse_story(source: str | TextIO, bound: int | None = None) -> Timeline:
         try:
             fab = apply_transition(fab, transition)
         except InconsistentFabulaError as e:
-            raise InconsistentStepError(k, e.conflict, block_line) from e
+            raise InconsistentStepError(k, e.conflict, e.subset, block_line) from e
         steps.append(fab)
 
     return Timeline(universe, tuple(steps))

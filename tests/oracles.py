@@ -4,8 +4,8 @@ Kept deliberately naive and separate from the library's fast paths: world
 enumeration loops over every assignment calling evaluate, the world-set
 oracles loop over a set's worlds calling evaluate where the library works on
 truth columns, the filter oracles check the axioms literally over all
-subset pairs, and the formula parser walks the text character by character
-where the library walks a token list.
+subset pairs and extend a filter by search, and the formula parser walks the
+text character by character where the library walks a token list.
 """
 
 from __future__ import annotations
@@ -252,6 +252,28 @@ def weak_ultrafilter_oracle(members, base_size: int) -> bool:
         if (x in fam) != ((full ^ x) not in fam):
             return False
     return True
+
+
+def extension_oracle(members, base_size: int) -> frozenset:
+    """Extend a weak filter by search: resolve each undecided complementary
+    pair in ascending bitmask order, preferring the side that holds world 0
+    unless one of its supersets is the complement of a member, then add every
+    superset of the chosen side."""
+    full = (1 << base_size) - 1
+    fam = set(members)
+
+    def supersets(x):
+        return [y for y in range(full + 1) if x & y == x]
+
+    for x in range(full + 1):
+        if x in fam or full ^ x in fam:
+            continue
+        side = x if x & 1 else full ^ x
+        if any(full ^ y in fam for y in supersets(side)):
+            side = full ^ side
+            assert not any(full ^ y in fam for y in supersets(side)), "not a weak filter"
+        fam.update(supersets(side))
+    return frozenset(fam)
 
 
 class CharFormulaParser:

@@ -336,6 +336,11 @@ if __name__ == "__main__":
         [_cards.atom("wears", "jay", "blue"), _cards.atom("plays", "ali", "jay")],
         _cards,
     )
+
+    def _criterion_10():
+        with tempfile.TemporaryDirectory() as tmp:
+            test_criterion_10_cli_determinism(Path(tmp))
+
     runners = [
         test_criterion_01_enumeration_matches_bruteforce_oracle,
         test_criterion_02_fixture_exact_values,
@@ -346,7 +351,7 @@ if __name__ == "__main__":
         test_criterion_07_conveyance_round_trip,
         lambda: test_criterion_08_entropy_checks(_cards, _s0),
         test_criterion_09_kernel_detection,
-        lambda: test_criterion_10_cli_determinism(Path(tempfile.mkdtemp())),
+        _criterion_10,
     ]
     failed = 0
     for run in runners:

@@ -27,6 +27,11 @@ from helpers import chain_story
 
 BAD_STORY = "sort s: a\nrel p(s)\n\nt=0:\n+ p(a)\n+ !p(a)\n"
 SYNTAX_ERROR_STORY = "sort s a\n"
+#: three relations of one signature, so a rename source can name two targets
+THREE_RELATIONS_STORY = (
+    "sort p: jay, ali\nsort c: blue, red\n"
+    "rel wears(p, c)\nrel dons(p, c)\nrel likes(p, c)\n\nt=0:\n+ wears(jay,blue)\n"
+)
 
 
 def load_schema():
@@ -43,6 +48,19 @@ class TestValidate:
         p = tmp_path / "bad.story"
         p.write_text(BAD_STORY)
         assert main(["validate", str(p)]) == 2
+
+    def test_inconsistent_step_names_its_line_and_conflict(self, tmp_path, capsys):
+        # a narrator step names its block's line; a reader step, made
+        # inconsistent by the channel, has no line to name
+        p = tmp_path / "bad.story"
+        p.write_text("sort s: a, b\nrel p(s)\n\nt=0:\n+ p(a)\n\nt=1:\n+ !p(a)\n+ p(b)\n")
+        assert main(["validate", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 7:1: step t=1 is inconsistent; conflicting subset: !p(a), p(a)\n"
+        p.write_text("sort s: a\nrel p(s)\nrel q(s)\n\nt=0:\n+ p(a) -> q(a)\n+ p(a)\n\nt=1:\n+ q(a)\n")
+        assert main(["analyze", str(p), "--channel", "corrupt(q(a))"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: step t=1 is inconsistent; conflicting subset: !q(a), p(a), p(a) -> q(a)\n"
 
     def test_syntax_error_exits_1(self, tmp_path):
         p = tmp_path / "syntax.story"
@@ -179,6 +197,28 @@ class TestAnalyze:
         assert (conv["matched"], conv["mismatched"], conv["undetermined"]) == (2, 0, 0)
         assert [s["world_count"] for s in report["steps"]] == [8, 4]
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("rename(wears)", "rename entry 'wears' is not 'old->new'"),
+            ("rename()", "rename channel needs at least one mapping"),
+            ("rename( , )", "rename channel needs at least one mapping"),
+            ("rename(hat->dons)", "rename source 'hat' is not a declared relation"),
+            ("rename(wears->hat)", "rename target 'hat' is not declared in the reader's universe"),
+            ("rename(wears->dons, wears->likes)", "rename map lists a source relation twice"),
+            ("rename(wears->wears, )", None),
+        ],
+    )
+    def test_rename_spec_refusals(self, tmp_path, capsys, spec, message):
+        story = tmp_path / "three.story"
+        story.write_text(THREE_RELATIONS_STORY)
+        code = main(["analyze", str(story), "--channel", spec, "--format", "csv"])
+        err = capsys.readouterr().err
+        if message is None:  # an empty entry is skipped
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (1, f"error: {message}\n")
+
     def test_contradictory_truth_spec_exits_1(self, cards_story_path):
         assert (
             main(
@@ -258,8 +298,13 @@ class TestAnalyze:
 
     @pytest.mark.parametrize(
         "content",
-        [b'{"seed": 1, }', b'{"story": "caf\xe9"}', b'{"seed": ' + b"9" * 5000 + b"}"],
-        ids=["json", "utf-8", "int-digits"],
+        [
+            b'{"seed": 1, }',
+            b'{"story": "caf\xe9"}',
+            b'{"seed": ' + b"9" * 5000 + b"}",
+            b"[" * 100000 + b"]" * 100000,
+        ],
+        ids=["json", "utf-8", "int-digits", "nesting"],
     )
     def test_undecodable_config_file_names_the_file(
         self, cards_story_path, tmp_path, capsys, content

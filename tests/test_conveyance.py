@@ -356,7 +356,7 @@ def fold_evolve(timeline, channel):
         try:
             reader = apply_transition(reader, rewritten)
         except InconsistentFabulaError as e:
-            raise InconsistentStepError(t, e.conflict) from e
+            raise InconsistentStepError(t, e.conflict, e.subset) from e
         states.append(reconstruct(reader))
         prev = fab
     return states

@@ -24,7 +24,12 @@ from storyworlds.logic import And, Not, evaluate
 from storyworlds.worlds import WorldSet, agreement_check
 
 from helpers import chain_universe
-from oracles import plausible_facts_oracle, weak_filter_oracle, weak_ultrafilter_oracle
+from oracles import (
+    extension_oracle,
+    plausible_facts_oracle,
+    weak_filter_oracle,
+    weak_ultrafilter_oracle,
+)
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +40,20 @@ def base4():
 
 def supersets_of(generator: int, n: int) -> frozenset:
     return frozenset(m for m in range(1 << n) if m & generator == generator)
+
+
+def weak_filters(n: int):
+    """Every weak filter over ``n`` worlds as a member family, found by
+    checking each family of subsets (bit ``x`` of ``fam`` holds subset ``x``)."""
+    size = 1 << n
+    lacks = [sum(1 << x for x in range(size) if not x >> i & 1) for i in range(n)]
+    for fam in range(1, 1 << size):
+        # adding world i to a member lacking it shifts its bit by 2**i
+        upward = not any(((fam & lack) << (1 << i)) & ~fam for i, lack in enumerate(lacks))
+        # reversing the bit string maps subset x to its complement
+        complements = int(format(fam, f"0{size}b")[::-1], 2)
+        if upward and not fam & complements:
+            yield frozenset(x for x in range(size) if fam >> x & 1)
 
 
 class TestAxiomChecks:
@@ -127,14 +146,39 @@ class TestExtension:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_closed_form_matches_the_scan(self, n):
-        # principal filters whose generator holds world 0 skip the scan
+        # principal filters whose generator holds world 0 take the O(1) form
         base = WorldSet(chain_universe(3), range(n))
         for generator in range(1, 1 << n, 2):
             f = WeakFilter.principal(base, generator)
             closed = extend_to_ultrafilter(f)
-            scanned = extend_to_ultrafilter(WeakFilter.from_members(base, f.member_masks()))
             assert closed.is_principal
-            assert closed.member_masks() == scanned.member_masks()
+            assert closed.member_masks() == extension_oracle(f.member_masks(), n)
+
+    def test_rule_matches_the_search_on_every_small_filter(self):
+        count = 0
+        for n in range(1, 5):
+            base = WorldSet(chain_universe(2), range(n))
+            for fam in weak_filters(n):
+                assert weak_filter_oracle(fam, n)
+                uf = extend_to_ultrafilter(WeakFilter.from_members(base, fam))
+                assert uf.member_masks() == extension_oracle(fam, n), (n, sorted(fam))
+                count += 1
+        assert count == 95
+
+    def test_rule_matches_the_search_on_fuzzed_filters(self):
+        rng = random.Random(1618)
+        u = chain_universe(4)
+        done = 0
+        while done < 300:
+            n = rng.randrange(2, 11)
+            base = WorldSet(u, range(n))
+            seeds = [rng.randrange(1, 1 << n) for _ in range(rng.randrange(1, 4))]
+            fam = frozenset(m for m in range(1 << n) if any(m & s == s for s in seeds))
+            if not is_weak_filter(fam, base):
+                continue
+            done += 1
+            uf = extend_to_ultrafilter(WeakFilter.from_members(base, fam))
+            assert uf.member_masks() == extension_oracle(fam, n), (n, seeds)
 
     def test_principal_without_world_0_can_extend_to_a_majority(self):
         # why the closed form is limited to generators holding world 0

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from storyworlds import metrics
+from storyworlds.conveyance import reconstruct
 from storyworlds.errors import EmptyWorldSetError, MetricError, UniverseMismatchError
-from storyworlds.filters import plausible_facts, support_mask
+from storyworlds.filters import WeakFilter, plausible_facts, support_mask
 from storyworlds.logic import And, Not, Or, World
 from storyworlds.metrics import (
     Question,
@@ -21,7 +22,7 @@ from storyworlds.metrics import (
     sample_coherence,
 )
 from storyworlds import worlds as worlds_module
-from storyworlds.story import Fabula, formula_to_str
+from storyworlds.story import Fabula, formula_to_str, parse_story
 from storyworlds.worlds import (
     WorldSet,
     agreement_check,
@@ -394,3 +395,30 @@ class TestRankSpace:
             ) == hits
             with patch.object(metrics, "MAX_QUESTIONS", len(u.atoms) ** 2 + 1):
                 assert derive_world_questions(sample) == derive_world_questions(flat)
+
+
+def test_values_compare_hash_and_print(cards_story_path):
+    # two parses of one story build equal values from distinct objects
+    text = cards_story_path.read_text(encoding="utf-8")
+    a, b = parse_story(text), parse_story(text)
+    assert a.universe is not b.universe
+    sa, sb = reconstruct(a.steps[0]), reconstruct(b.steps[0])
+    pairs = [
+        (a.universe, b.universe),
+        (a.steps[0], b.steps[0]),
+        (sa.worlds, sb.worlds),
+        (World(a.universe, 5), World(b.universe, 5)),  # hashes its universe
+        (sa, sb),  # hashes its fabula and world set
+    ]
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+    assert len({a.steps[0], a.steps[1], sa.worlds, reconstruct(a.steps[1]).worlds}) == 4
+    assert repr(a.universe) == "Universe(sorts=['person', 'color'], relations=['wears', 'plays'], atoms=8)"
+    assert repr(a.steps[0]) == "Fabula({plays(ali,jay), wears(jay,blue)})"
+    assert repr(sa.worlds) == "WorldSet(64 worlds over 8 atoms)"
+    assert repr(sa.filter) == f"WeakFilter(principal 0b{'1' * 64} over 64 worlds)"
+    four = WorldSet(chain_universe(2), range(4))
+    assert repr(WeakFilter.from_members(four, [0b0011, 0b0111, 0b1011, 0b1111])) == (
+        "WeakFilter(4 members over 4 worlds)"
+    )
+    assert repr(sa.worlds) in repr(sa) and repr(a.steps[0]) in repr(sa)
