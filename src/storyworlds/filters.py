@@ -10,12 +10,12 @@ closed under intersection.
 
 Plausibility extraction and the reconciliation vote (ultraproduct) live here
 as well. Plausible facts are a cube of two atom masks (the set's backbone),
-folded from a universe-space column one atom per halving; beliefs exist only
-as that cube, and every belief consumer reads the masks. The vote makes a
-ground atom true exactly when the set of base worlds satisfying it belongs
-to the ultrafilter. Extension is one membership rule; extending a principal
-filter whose generator holds world 0, and voting over a principal
-ultrafilter, take O(1) forms.
+folded from the set's truth column over the universe one atom per halving;
+beliefs exist only as that cube, and every belief consumer reads the masks.
+The vote makes a ground atom true exactly when the set of base worlds
+satisfying it belongs to the ultrafilter. Extension is one membership rule;
+extending a principal filter whose generator holds world 0, and voting over
+a principal ultrafilter, take O(1) forms.
 """
 
 from __future__ import annotations
@@ -58,13 +58,17 @@ def _upward_closed(members: frozenset, base_size: int) -> bool:
     return True
 
 
+def _weak_filter_axioms(fam: frozenset, n: int) -> bool:
+    # non-empty, upward closed, and never both a set and its complement
+    full = (1 << n) - 1
+    return bool(fam) and _upward_closed(fam, n) and all(full ^ x not in fam for x in fam)
+
+
 def is_weak_filter(members: Iterable[int], base: WorldSet) -> bool:
     """Check the weak filter axioms: non-empty, upward closed, and never
     both a set and its complement."""
     n = len(base)
-    fam = _check_members(members, n)
-    full = (1 << n) - 1
-    return bool(fam) and _upward_closed(fam, n) and all(full ^ x not in fam for x in fam)
+    return _weak_filter_axioms(_check_members(members, n), n)
 
 
 def is_weak_ultrafilter(members: Iterable[int], base: WorldSet) -> bool:
@@ -77,7 +81,7 @@ def is_weak_ultrafilter(members: Iterable[int], base: WorldSet) -> bool:
     """
     n = len(base)
     fam = _check_members(members, n)
-    return n > 0 and len(fam) == 1 << (n - 1) and is_weak_filter(fam, base)
+    return n > 0 and len(fam) == 1 << (n - 1) and _weak_filter_axioms(fam, n)
 
 
 class WeakFilter:
@@ -120,7 +124,7 @@ class WeakFilter:
                     f"extensional members need base size <= {EXTENSIONAL_BASE_LIMIT}"
                 )
             fam = _check_members(members, n)
-            if not _validated and not is_weak_filter(fam, base):
+            if not _validated and not _weak_filter_axioms(fam, n):
                 raise FilterError("family violates the weak filter axioms")
             self._members = fam
             self._generator = None
@@ -178,13 +182,14 @@ class WeakUltrafilter(WeakFilter):
         generator: int | None = None,
         _validated: bool = False,
     ):
+        # checks the filter axioms once; only the member count is added here
         super().__init__(base, members, generator=generator, _validated=_validated)
         if self._generator is not None:
             if self._generator.bit_count() != 1:
                 raise FilterError(
                     "a principal weak ultrafilter needs a single-world generator"
                 )
-        elif not _validated and not is_weak_ultrafilter(self._members, base):
+        elif not _validated and len(self._members) != 1 << (len(base) - 1):
             raise FilterError("family violates the weak ultrafilter axioms")
 
 
@@ -211,28 +216,18 @@ def plausible_facts(worlds: WorldSet) -> tuple[int, int]:
     ``worlds``, or in none."""
     if len(worlds) == 0:
         raise EmptyWorldSetError("plausible facts over an empty world set")
-    u, col, table = worlds.universe, worlds.own_column, worlds.table
-    true = false = 0
-    if table is u:
-        # Fold the column from the top atom down: atom i is decided when one
-        # half of the column is empty, and ``lo | hi`` quantifies it away
-        # (Bryant 1986), so the passes halve in width each time.
-        for i in reversed(range(u.atom_count)):
-            half = 1 << i
-            hi, lo = col >> half, col & ((1 << half) - 1)
-            if not hi:
-                false |= 1 << i
-            elif not lo:
-                true |= 1 << i
-            col = lo | hi
-        return true, false
-    # in rank space, one AND of k-bit columns per atom
-    for i in range(u.atom_count):
-        hits = col & table.atom_column(i)
-        if hits == col:
-            true |= 1 << i
-        elif not hits:
+    col, true, false = worlds.column, 0, 0
+    # Fold the column from the top atom down: atom i is decided when one half
+    # of the column is empty, and ``lo | hi`` quantifies it away (Bryant
+    # 1986), so the passes halve in width each time.
+    for i in reversed(range(worlds.universe.atom_count)):
+        half = 1 << i
+        hi, lo = col >> half, col & ((1 << half) - 1)
+        if not hi:
             false |= 1 << i
+        elif not lo:
+            true |= 1 << i
+        col = lo | hi
     return true, false
 
 

@@ -20,9 +20,12 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import BoundExceededError, UniverseError, UnknownAtomError
+
+if TYPE_CHECKING:
+    from .worlds import RankTable
 
 #: Default cap on ground-atom count for exhaustive operations, taken by a
 #: ``Universe`` built without a bound. Beyond its universe's bound,
@@ -343,17 +346,7 @@ def evaluate(world: World, f: Formula) -> bool:
     raise TypeError(f"not a formula: {f!r}")
 
 
-class ColumnTable(Protocol):
-    """Where ``truth_column`` reads atom columns: a ``Universe`` (bit ``m`` is
-    assignment mask ``m``) or a sample's ``worlds.RankTable`` (bit ``r`` is
-    its ``r``-th world)."""
-
-    def atom_index(self, atom: Atom) -> int: ...
-
-    def atom_column(self, index: int) -> int: ...
-
-
-def truth_column(f: Formula, table: ColumnTable) -> int:
+def truth_column(f: Formula, table: Universe | RankTable) -> int:
     """Integer whose bit ``m`` is the truth of ``f`` at the table's world ``m``.
 
     Over a universe, world ``m`` is assignment mask ``m``; over a rank table,

@@ -23,7 +23,9 @@ canonical literal order (the negation of atom ``i`` is code ``i``, the atom
 each satellite prior, the prior's cube decides every cell whose antecedent
 or consequent atom it decides; only the other cells are counted. Given
 questions and transitional coherence count their cells one way: the members
-outside the antecedent or inside the consequent, each side built once.
+outside the antecedent or inside the consequent, each side built once. One
+literal split of a sample, reading the atoms its set's cube decides off the
+cube, gives the closed form its counts and transitional coherence its atoms.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from typing import Callable, Iterable, Sequence
 
 from .conveyance import ReaderState
 from .errors import EmptyWorldSetError, MetricError
-from .filters import plausible_facts
 from .logic import Formula, Universe, World, evaluate, truth_column
 from .worlds import WorldSet
 
@@ -424,16 +425,19 @@ def transitional_coherence(
     and consequents are newly decided post-kernel beliefs consistent with the
     later ground truth pulled back to the atoms ``sample_then`` decides; the
     kernels' questions are taken in kernel order and capped at
-    ``MAX_QUESTIONS``. Requires t_then < t_now, at least one kernel in range,
-    and a non-empty question set.
+    ``MAX_QUESTIONS``. ``sample_then`` is a sample of ``states[t_then].worlds``,
+    as the report's ``samples[k - 1]`` is. Requires t_then < t_now, at least
+    one kernel in range, and a non-empty question set.
     """
     if not t_then < t_now:
         raise MetricError("question derivation needs t_then < t_now")
     in_range = [k for k in kernels.kernels if t_then < k <= t_now]
     if not in_range:
         raise MetricError(f"no kernel in ({t_then}, {t_now}]")
-    true, false = plausible_facts(sample_then)
-    decided, n = true | false, sample_then.universe.atom_count
+    # the atoms the sample decides, from the literal codes all of it holds
+    n = sample_then.universe.atom_count
+    held = sum(1 << c for c in _literal_split(sample_then, states[t_then].cube)[1])
+    decided = (held | held >> n) & ~(-1 << n)
     # the literals on atoms the sample decides that the later truth falsifies
     contradicted = decided & truth_now.mask | (decided & ~truth_now.mask) << n
     pairs = []

@@ -44,7 +44,7 @@ from .worlds import sample_worlds
 
 # Unused here, but the benchmark's tracing hooks (bench/spans.py HOOKS) look
 # these names up on this module; they go when an in-source stage trace
-# replaces the hooks (ROADMAP item 3).
+# replaces the hooks (ROADMAP item 6).
 from .metrics import derive_world_questions, mean_question_entropy, world_coherence  # noqa: F401
 from .story import delta  # noqa: F401
 from .worlds import agreement_check, intersect  # noqa: F401
@@ -100,7 +100,7 @@ def read_config_file(path: str | Path) -> dict[str, Any]:
     except (ValueError, RecursionError) as e:
         raise ValueError(f"config file {path}: {e}") from None
     if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
+        raise ValueError(f"config file {path}: must hold a JSON object")
     return raw
 
 
@@ -201,12 +201,12 @@ def _config_questions(
     out = []
     for i, spec in enumerate(specs):
         if "if" not in spec or "then" not in spec:
-            raise ValueError("each question needs 'if' and 'then' formulas")
+            raise ValueError(f"config key 'questions[{i}]': needs 'if' and 'then' formulas")
         answers = spec.get("answers")
         if answers is not None:
             kinds = [type(a) for a in answers] if isinstance(answers, (list, tuple)) else None
             if kinds != [bool, bool]:
-                raise ValueError("a question's 'answers' must be two booleans")
+                raise ValueError(f"config key 'questions[{i}].answers': expected two booleans")
             answers = tuple(answers)
         sides = []
         for side in ("if", "then"):

@@ -67,6 +67,12 @@ class TestValidate:
         p.write_text(SYNTAX_ERROR_STORY)
         assert main(["validate", str(p)]) == 1
 
+    def test_assertion_before_any_block_names_its_line(self, tmp_path, capsys):
+        p = tmp_path / "early.story"
+        p.write_text("sort s: a\nrel p(s)\n+ p(a)\n\nt=0:\n+ p(a)\n")
+        assert main(["validate", str(p)]) == 1
+        assert capsys.readouterr().err == "error: 3:1: assertion outside any t= block\n"
+
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.story")]) == 3
 
@@ -219,6 +225,12 @@ class TestAnalyze:
         else:
             assert (code, err) == (1, f"error: {message}\n")
 
+    def test_truth_spec_entry_that_is_not_a_literal_exits_1(self, cards_story_path, capsys):
+        truth = "wears(jay,blue) | wears(ali,red)"
+        assert main(["analyze", str(cards_story_path), "--truth", truth]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: truth spec entry '{truth}' is not a ground literal\n"
+
     def test_contradictory_truth_spec_exits_1(self, cards_story_path):
         assert (
             main(
@@ -258,11 +270,14 @@ class TestAnalyze:
         self, cards_story_path, tmp_path
     ):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"seed": 3}))
+        cfg.write_text(json.dumps({"seed": 3, "theta": 0.3}))
         out = tmp_path / "report.json"
         argv = ["analyze", str(cards_story_path), "--config", str(cfg), "--out", str(out)]
         assert main(argv) == 0
-        assert json.loads(out.read_text())["config"]["seed"] == 3
+        config = json.loads(out.read_text())["config"]
+        assert config["seed"] == 3
+        # a float theta is read decimally, not as its binary expansion
+        assert (config["theta"]["num"], config["theta"]["den"]) == (3, 10)
 
     @pytest.mark.parametrize(
         "values",
@@ -281,6 +296,10 @@ class TestAnalyze:
             {"questions": 5},
             {"questions": [5]},
             {"questions": [{"if": "true", "then": "wears(ali,blue)", "answers": 1}]},
+            {"epsilon": 2},
+            {"epsilon": "nan"},
+            {"questions": [{"if": "true"}]},
+            {"questions": [{"if": "true", "then": "true"}, {"then": "true"}]},
         ],
         ids=repr,
     )
@@ -295,6 +314,15 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
         assert list(tmp_path.iterdir()) == [cfg]
+        questions = values.get("questions")
+        if isinstance(questions, list) and isinstance(questions[-1], dict):
+            # the last question is the refused one, and its index is named
+            key = f"questions[{len(questions) - 1}]"
+            if "answers" in questions[-1]:
+                expected = f"config key '{key}.answers': expected two booleans"
+            else:
+                expected = f"config key '{key}': needs 'if' and 'then' formulas"
+            assert err == f"error: {expected}\n"
 
     @pytest.mark.parametrize(
         "content",
@@ -303,8 +331,9 @@ class TestAnalyze:
             b'{"story": "caf\xe9"}',
             b'{"seed": ' + b"9" * 5000 + b"}",
             b"[" * 100000 + b"]" * 100000,
+            b"[1, 2]",
         ],
-        ids=["json", "utf-8", "int-digits", "nesting"],
+        ids=["json", "utf-8", "int-digits", "nesting", "not-an-object"],
     )
     def test_undecodable_config_file_names_the_file(
         self, cards_story_path, tmp_path, capsys, content

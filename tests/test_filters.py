@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from storyworlds import filters
 from storyworlds.errors import FilterError
 from storyworlds.filters import (
     PlausibilityStatus,
@@ -111,6 +112,21 @@ class TestConstruction:
         assert is_weak_filter(f.member_masks(), base4)
         uf = WeakUltrafilter(base4, supersets_of(0b0001, 4))
         assert is_weak_ultrafilter(uf.member_masks(), base4)
+
+    def test_ultrafilter_checks_its_members_once(self, base4, monkeypatch):
+        calls = {"_upward_closed": 0, "_check_members": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _real=getattr(filters, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(filters, name, counted)
+        WeakUltrafilter(base4, supersets_of(0b0001, 4))
+        assert calls == {"_upward_closed": 1, "_check_members": 1}
+        # the filter axioms hold, but four members cannot decide eight pairs
+        with pytest.raises(FilterError, match="family violates the weak ultrafilter axioms"):
+            WeakUltrafilter(base4, supersets_of(0b0011, 4))
 
     def test_principal_form_matches_extensional(self, base4):
         p = WeakFilter.principal(base4, 0b0110)

@@ -30,7 +30,7 @@ ROOT = TESTS.parent
 SRC = ROOT / "src" / "storyworlds"
 DATA = TESTS / "data"
 
-BENCH = "`bench/spans.py` resolves it; goes with ROADMAP item 3"
+BENCH = "`bench/spans.py` resolves it; goes with ROADMAP item 6"
 VALUE = "value semantics of an immutable type: tests compare, hash and print it"
 
 #: Uncalled functions that stay, by ``module.Qualified.name``: one line each.
@@ -44,8 +44,6 @@ ALLOWED = {
     "metrics._question_pairs": BENCH,
     "metrics.mean_question_entropy": BENCH,
     "worlds.agreement_check": BENCH,
-    "logic.ColumnTable.atom_index": "a typing.Protocol member: a signature, never called",
-    "logic.ColumnTable.atom_column": "a typing.Protocol member: a signature, never called",
     "logic.Universe.__hash__": VALUE,
     "logic.Universe.__repr__": VALUE,
     "story.Fabula.__eq__": VALUE,
